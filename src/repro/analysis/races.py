@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.faults import campaign
 from repro.obs.registry import diff_snapshots
 from repro.obs.trace import trace_digest
 from repro.simkernel.tiebreak import (
@@ -55,10 +56,10 @@ from repro.simkernel.tiebreak import (
 VOLATILE_METRICS = frozenset({"sim_wall_ms", "sim_events_processed"})
 
 #: the standard ``--races`` corpus: the fault-campaign workloads plus the
-#: fabric collective cell.  Deliberately NOT ``campaign.WORKLOADS`` —
+#: fabric collective cell.  Extended here, not in ``campaign.WORKLOADS``:
 #: the campaign matrix (and its bit-identical reports) must not grow a
 #: cell when the race corpus does.
-RACE_WORKLOADS = ("pingpong", "stream", "incast", "fabric")
+RACE_WORKLOADS = tuple(campaign.WORKLOADS) + ("fabric",)
 
 #: schedule-log entries shown on each side of the first diverging event
 CONTEXT = 3
@@ -327,8 +328,6 @@ def workload_scenario(workload: str, size: int = 4096,
     *unbounded*: a bounded ring drops the oldest spans in recording order,
     which would leak tie order back into the digest.
     """
-    from repro.faults import campaign
-
     if workload not in RACE_WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}")
     if workload == "fabric":
@@ -336,11 +335,7 @@ def workload_scenario(workload: str, size: int = 4096,
         from repro.fabric.sweep import fabric_scenario
 
         return fabric_scenario(size=size)
-    build = {
-        "pingpong": campaign._workload_pingpong,
-        "stream": campaign._workload_stream,
-        "incast": campaign._workload_incast,
-    }[workload]
+    build = campaign.WORKLOADS[workload]
 
     def scenario() -> Observation:
         tb = campaign._build_testbed(workload)

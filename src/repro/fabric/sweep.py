@@ -6,21 +6,22 @@ receive-copy backend and returns a JSON-stable dict — no wall-clock, no
 object references — so the sweep executor can cache it and two runs of the
 same cell compare byte-identical (the ``fabric_sweep`` acceptance bar).
 
-Three entry points:
+Entry points:
 
-* :func:`run_fabric_collective` — build spec, launch a
-  :class:`~repro.fabric.mpi.FabricWorld`, run the collective SPMD, report;
-* :func:`point_fabric` / :func:`point_fabric_cell` — top-level picklable
-  wrappers registered as the ``"fabric"`` / ``"fabric_cell"`` lazy point
-  kinds in :mod:`repro.reporting.sweeps`;
-* :func:`fabric_scenario` — the ``--races`` corpus entry: the same cell
+* :func:`run_fabric_collective`, :func:`run_fabric_cell` and
+  :func:`run_imb_fabric` — the fault-free collective cell, the fault cell
+  and the IMB suite over a fabric world; registered directly as the
+  ``"fabric"`` / ``"fabric_cell"`` / ``"imb_fabric"`` point kinds in
+  :mod:`repro.reporting.sweeps`;
+* :func:`fabric_scenario` — the ``--races`` corpus entry: a collective
   packaged as a zero-arg callable returning an
   :class:`~repro.analysis.races.Observation`, with a seeded trunk flap
   armed so the detector covers the resilience path;
 * :func:`chaos_campaign` — the gray-failure matrix (degrade / flap /
-  lossy / crash-stop / partition) crossed with every multi-path topology;
-* :func:`point_imb_fabric` — the IMB suite run over a fabric world (the
-  ``"imb_fabric"`` lazy kind).
+  lossy / crash-stop / partition) crossed with every multi-path topology.
+
+All of them, and the fabric soak, start their world with
+:func:`fabric_world`.
 
 The fault cell (:func:`run_fabric_cell`) arms a
 :class:`~repro.faults.plan.FaultPlan` whose ``fabric`` specs kill named
@@ -33,7 +34,7 @@ Both classifications are byte-identical per seed.
 from __future__ import annotations
 
 import math
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.core.errors import TransferError
 from repro.fabric.cost import DEFAULT_CELL
@@ -46,6 +47,10 @@ from repro.fabric.spec import (
     star_topology,
 )
 from repro.units import KiB, throughput_mib_s, us
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injectors import ArmedPlan
+    from repro.faults.plan import FaultPlan
 
 #: topology kinds a sweep point may name
 TOPOLOGIES = ("pair", "star", "fat_tree2", "fat_tree3", "dragonfly")
@@ -127,7 +132,24 @@ def collective_body(collective: str, size: int,
     return body
 
 
-def _net_stats(world: FabricWorld) -> dict:
+def fabric_world(topology: str, hosts: int, oversubscription: float = 1.0,
+                 hosts_per_edge: int = 8, ecmp_seed: str = "fabric",
+                 plan: Optional[Callable[[TopologySpec], FaultPlan]] = None,
+                 **launch) -> tuple[FabricWorld, Optional[ArmedPlan]]:
+    """Launch a world (``launch`` kwargs) over the named topology and arm
+    ``plan(spec)`` when given; returns ``(world, armed or None)``."""
+    spec = make_topology(topology, hosts, oversubscription, hosts_per_edge,
+                         ecmp_seed)
+    world = launch_fabric_world(spec, **launch)
+    if plan is None:
+        return world, None
+    from repro.faults.injectors import arm_plan
+
+    return world, arm_plan(world, plan(spec))
+
+
+def net_stats(world: FabricWorld) -> dict:
+    """The fabric's aggregate flow counters (every fabric report has them)."""
     net = world.net
     return {
         "msgs_sent": net.msgs_sent,
@@ -140,6 +162,14 @@ def _net_stats(world: FabricWorld) -> dict:
     }
 
 
+def health_sections(world: FabricWorld) -> dict:
+    """The ``resilience`` / ``liveness`` report sections, present only
+    when the world runs those layers."""
+    layers = {"resilience": world.net.resilience, "liveness": world.liveness}
+    return {k: layer.snapshot() for k, layer in layers.items()
+            if layer is not None}
+
+
 def run_fabric_collective(topology: str = "fat_tree2", hosts: int = 64,
                           oversubscription: float = 1.0,
                           collective: str = "allreduce",
@@ -148,17 +178,17 @@ def run_fabric_collective(topology: str = "fat_tree2", hosts: int = 64,
                           hosts_per_edge: int = 8,
                           ecmp_seed: str = "fabric",
                           egress_limit_cells: Optional[int] = None) -> dict:
-    """Run one fault-free fabric cell and report it as JSON-stable data."""
-    spec = make_topology(topology, hosts, oversubscription, hosts_per_edge,
-                         ecmp_seed)
-    world = launch_fabric_world(spec, backend=backend, cell=cell,
-                                egress_limit_cells=egress_limit_cells)
+    """Run one fault-free fabric cell and report it as JSON-stable data
+    (the ``"fabric"`` sweep point kind)."""
+    world, _ = fabric_world(topology, hosts, oversubscription,
+                            hosts_per_edge, ecmp_seed, backend=backend,
+                            cell=cell, egress_limit_cells=egress_limit_cells)
     body = collective_body(collective, size, algo)
     world.run_spmd(body, max_events=CELL_MAX_EVENTS)
     world.finish()
     t = world.sim.now
     return {
-        "topology": spec.name,
+        "topology": world.spec.name,
         "kind": topology,
         "hosts": world.size,
         "oversubscription": oversubscription,
@@ -169,15 +199,9 @@ def run_fabric_collective(topology: str = "fat_tree2", hosts: int = 64,
         "time_ns": t,
         "mib_s": round(throughput_mib_s(size, t), 3) if t else 0.0,
         "events": world.sim.events_processed,
-        "net": _net_stats(world),
+        "net": net_stats(world),
         "cpu_ticks": {k: world.cpu[k] for k in sorted(world.cpu)},
     }
-
-
-def point_fabric(**params) -> dict:
-    """Top-level sweep point (the ``"fabric"`` lazy kind): one fault-free
-    fabric collective cell, picklable for subprocess executors."""
-    return run_fabric_collective(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +234,8 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
                     kill_at: int = us(50), plan: Optional[dict] = None,
                     recovery: str = "abort",
                     ecmp_seed: str = "fabric") -> dict:
-    """One fabric *fault* cell: run the collective under an armed plan.
+    """One fabric *fault* cell (the ``"fabric_cell"`` sweep point kind):
+    run the collective under an armed plan.
 
     ``plan`` is a :meth:`~repro.faults.plan.FaultPlan.to_dict` dict (the
     sweep executor needs JSON params); when None, a spine-kill plan firing
@@ -230,18 +255,16 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
     * ``"rerouted"`` — completed over recomputed ECMP tables;
     * ``"completed"`` — the faults touched no in-flight flow.
     """
-    from repro.faults.injectors import arm_plan
     from repro.faults.plan import FaultPlan
 
     if recovery not in ("abort", "shrink"):
         raise ValueError(f"unknown recovery policy {recovery!r}; "
                          "expected 'abort' or 'shrink'")
-    spec = make_topology(topology, hosts, oversubscription, hosts_per_edge,
-                         ecmp_seed)
-    fplan = (FaultPlan.from_dict(plan) if plan is not None
-             else spine_kill_plan(spec, kill_at))
-    world = launch_fabric_world(spec, backend=backend, cell=cell)
-    armed = arm_plan(world, fplan)
+    world, armed = fabric_world(
+        topology, hosts, oversubscription, hosts_per_edge, ecmp_seed,
+        plan=lambda spec: (FaultPlan.from_dict(plan) if plan is not None
+                           else spine_kill_plan(spec, kill_at)),
+        backend=backend, cell=cell)
     if recovery == "shrink":
         if collective != "allreduce":
             raise ValueError("shrink recovery is ring-allreduce only")
@@ -260,43 +283,33 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
     except TransferError as exc:
         error = exc
         world.sim.run()  # drain the declaration wave / stale traffic
-    net = world.net
-    res = net.resilience
+    res = world.net.resilience
     if error is not None:
         outcome = f"failed:{type(error).__name__}"
     elif world.dead and world.epoch:
         outcome = "shrunk-completed"
     elif res is not None and res.demotions:
         outcome = "degraded-completed"
-    elif net.chunks_rerouted:
+    elif world.net.chunks_rerouted:
         outcome = "rerouted"
     else:
         outcome = "completed"
-    report = {
-        "topology": spec.name,
+    return {
+        "topology": world.spec.name,
         "hosts": world.size,
         "collective": collective,
         "size": size,
         "backend": backend,
-        "plan": fplan.name,
+        "plan": armed.plan.name,
         "recovery": recovery,
         "fabric_faults_armed": armed.fabric_armed,
         "outcome": outcome,
         "error": type(error).__name__ if error is not None else None,
         "detail": str(error) if error is not None else "",
         "end_time": world.sim.now,
-        "net": _net_stats(world),
+        "net": net_stats(world),
+        **health_sections(world),
     }
-    if res is not None:
-        report["resilience"] = res.snapshot()
-    if world.liveness is not None:
-        report["liveness"] = world.liveness.snapshot()
-    return report
-
-
-def point_fabric_cell(**params) -> dict:
-    """Top-level sweep point (the ``"fabric_cell"`` lazy kind)."""
-    return run_fabric_cell(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +412,8 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
                    warmup: int = 1, backend: str = "memcpy",
                    cell: int = DEFAULT_CELL, hosts_per_edge: int = 4,
                    ecmp_seed: str = "fabric") -> dict:
-    """One IMB test over a fabric world (the ``"imb_fabric"`` lazy kind).
+    """One IMB test over a fabric world (the ``"imb_fabric"`` sweep point
+    kind).
 
     :class:`~repro.fabric.mpi.FabricWorld` satisfies the communicator
     protocol :func:`repro.imb.harness.run_imb` consumes (``run_spmd`` +
@@ -412,14 +426,14 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
     if test == "Allgatherv":
         raise ValueError("Allgatherv is not supported over the fabric rank "
                          "(no variable-block allgather)")
-    spec = make_topology(topology, hosts, oversubscription, hosts_per_edge,
-                         ecmp_seed)
-    world = launch_fabric_world(spec, backend=backend, cell=cell)
+    world, _ = fabric_world(topology, hosts, oversubscription,
+                            hosts_per_edge, ecmp_seed, backend=backend,
+                            cell=cell)
     res = run_imb(world, world, test, size, iterations=iterations,
                   warmup=warmup, max_events=CELL_MAX_EVENTS)
     world.finish()
     return {
-        "topology": spec.name,
+        "topology": world.spec.name,
         "kind": topology,
         "hosts": world.size,
         "backend": backend,
@@ -429,13 +443,8 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
         "t_avg_us": round(res.t_avg_us, 3),
         "mib_s": round(res.mib_s, 3),
         "events": world.sim.events_processed,
-        "net": _net_stats(world),
+        "net": net_stats(world),
     }
-
-
-def point_imb_fabric(**params) -> dict:
-    """Top-level sweep point (the ``"imb_fabric"`` lazy kind)."""
-    return run_imb_fabric(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +470,21 @@ def fabric_scenario(hosts: int = 8, size: int = 8 * KiB,
     """
     from repro.analysis.races import Observation
 
-    def scenario() -> Observation:
-        spec = make_topology("fat_tree2", hosts, oversubscription,
-                             hosts_per_edge=max(2, hosts // 2),
-                             ecmp_seed="races")
-        world = launch_fabric_world(spec, backend=backend)
-        if flap:
-            from repro.faults.injectors import arm_plan
-            from repro.faults.plan import FabricFlapSpec, FaultPlan
+    def races_flap(spec: TopologySpec):
+        from repro.faults.plan import FabricFlapSpec, FaultPlan
 
-            trunk = sorted(l.name for l in spec.trunk_links())[0]
-            arm_plan(world, FaultPlan(
-                name="races-flap", seed="races",
-                flap=(FabricFlapSpec(link=trunk, at=us(20), period=us(120),
-                                     duty=0.5, cycles=3),)))
+        trunk = sorted(l.name for l in spec.trunk_links())[0]
+        return FaultPlan(
+            name="races-flap", seed="races",
+            flap=(FabricFlapSpec(link=trunk, at=us(20), period=us(120),
+                                 duty=0.5, cycles=3),))
+
+    def scenario() -> Observation:
+        world, _ = fabric_world("fat_tree2", hosts, oversubscription,
+                                hosts_per_edge=max(2, hosts // 2),
+                                ecmp_seed="races",
+                                plan=races_flap if flap else None,
+                                backend=backend)
         schedule = world.sim.record_schedule()
         body = collective_body(collective, size, algo)
         world.run_spmd(body, max_events=CELL_MAX_EVENTS)

@@ -7,6 +7,7 @@
     python -m repro.faults --out /tmp/faults.json --jobs 4
     python -m repro.faults --soak               # chained-fault soak suite
     python -m repro.faults --soak --seed s7 --duration 120
+    python -m repro.faults --soak --trace traces/  # + one Perfetto file per run
 
 The report is JSON with sorted keys: running the same seed twice produces
 byte-identical files (the determinism the campaign and soak tests assert).
@@ -29,8 +30,9 @@ from repro.reporting.sweeps import SweepExecutor
 from repro.reporting.table import Table
 
 
-def _write_cell_traces(report: dict, out_dir: str) -> int:
-    """Extract each cell's trace into its own Perfetto file.
+def _write_traces(records: list, out_dir: str, name) -> None:
+    """Extract each record's trace into its own Perfetto file, named
+    ``name(record)``, and print how many were written.
 
     The timelines are moved out of the report (they would swamp the JSON
     and break its byte-stable determinism contract, which excludes traces).
@@ -38,14 +40,13 @@ def _write_cell_traces(report: dict, out_dir: str) -> int:
     from repro.obs.trace import write_trace
 
     written = 0
-    for cell in report["cells"]:
-        doc = cell.pop("trace_events", None)
+    for record in records:
+        doc = record.pop("trace_events", None)
         if doc is None:
             continue
-        name = f'{cell["workload"]}-{cell["size"]}-{cell["plan"]}.json'
-        write_trace(doc, Path(out_dir) / name)
+        write_trace(doc, Path(out_dir) / name(record))
         written += 1
-    return written
+    print(f"traces: {written} file(s) under {out_dir}")
 
 
 def _soak_main(args) -> int:
@@ -55,7 +56,11 @@ def _soak_main(args) -> int:
 
     deadline = ms(args.duration) if args.duration is not None else SOAK_DEADLINE
     seed = args.seed if args.seed != "campaign" else "soak"
-    report = run_soak_suite(seed, iters=args.iters * 2, deadline=deadline)
+    report = run_soak_suite(seed, iters=args.iters * 2, deadline=deadline,
+                            trace=args.trace is not None)
+    if args.trace is not None:
+        _write_traces(report["runs"], args.trace,
+                      lambda run: f'{run["soak"]}.json')
     out = args.out
     if out == "results/faults_campaign.json":
         out = "results/faults_soak.json"
@@ -116,7 +121,8 @@ def main(argv=None) -> int:
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the sweep cache")
     ap.add_argument("--trace", default=None, metavar="DIR",
-                    help="also write one Perfetto trace per cell into DIR")
+                    help="also write one Perfetto trace per cell (or per "
+                         "host-pair soak run) into DIR")
     ap.add_argument("--soak", action="store_true",
                     help="run the chained-fault soak suite instead of the "
                          "campaign matrix")
@@ -152,8 +158,8 @@ def _dispatch(args) -> int:
     executor = SweepExecutor(jobs=args.jobs, cache=not args.no_cache)
     report = run_campaign(spec, executor=executor, trace=args.trace is not None)
     if args.trace is not None:
-        n = _write_cell_traces(report, args.trace)
-        print(f"traces: {n} file(s) under {args.trace}")
+        _write_traces(report["cells"], args.trace,
+                      lambda c: f'{c["workload"]}-{c["size"]}-{c["plan"]}.json')
     path = write_report(report, args.out)
 
     t = Table(f"fault campaign (seed={args.seed!r})",

@@ -40,8 +40,6 @@ CELL_DEADLINE = ms(60)
 #: per-cell event budget (runaway guard; a healthy cell uses far less)
 CELL_MAX_EVENTS = 30_000_000
 
-WORKLOADS = ("pingpong", "stream", "incast")
-
 #: incast fan-in degree (1 receiver + INCAST_SENDERS senders)
 INCAST_SENDERS = 3
 
@@ -54,8 +52,7 @@ INCAST_SENDERS = 3
 class _Transfer:
     """One tracked message pair: the send request and its receive request."""
 
-    def __init__(self, key: str):
-        self.key = key
+    def __init__(self):
         self.send_req = None
         self.recv_req = None
 
@@ -75,17 +72,20 @@ def _match(sender: int, index: int) -> int:
     return (sender << 16) | index
 
 
+def _irecvs(ep, core, src, node, size, iters, transfers):
+    """Post the ``iters`` receives expected from ``src`` (one buffer each)."""
+    for i in range(iters):
+        buf = ep.space.alloc(max(size, 1))
+        req = yield from ep.irecv(core, _match(src, i), ~0, buf, 0, size)
+        transfers[f"{src}->{node}#{i}"].recv_req = req
+
+
 def _post_recvs(tb, ep, node, core, senders, size, iters, transfers):
     """Post every expected receive up front (one buffer per message)."""
 
     def proc():
         for src in senders:
-            for i in range(iters):
-                buf = ep.space.alloc(max(size, 1))
-                req = yield from ep.irecv(
-                    core, _match(src, i), ~0, buf, 0, size
-                )
-                transfers[f"{src}->{node}#{i}"].recv_req = req
+            yield from _irecvs(ep, core, src, node, size, iters, transfers)
         # Drive the library until the simulation ends; blocked waits still
         # progress every other request (wait() drains the event queue).
         for t in transfers.values():
@@ -113,7 +113,7 @@ def _run_senders(tb, ep, node, core, dst_node, dst_addr, size, iters, transfers)
 def _workload_stream(tb, size: int, iters: int) -> dict[str, _Transfer]:
     """Unidirectional stream: node0 sends ``iters`` messages to node1."""
     ep0, ep1 = tb.open_endpoint(0, 0), tb.open_endpoint(1, 0)
-    transfers = {f"0->1#{i}": _Transfer(f"0->1#{i}") for i in range(iters)}
+    transfers = {f"0->1#{i}": _Transfer() for i in range(iters)}
     _post_recvs(tb, ep1, 1, tb.user_core(1), [0], size, iters, transfers)
     _run_senders(tb, ep0, 0, tb.user_core(0), 1, ep1.addr, size, iters,
                  transfers)
@@ -128,8 +128,8 @@ def _workload_pingpong(tb, size: int, iters: int) -> dict[str, _Transfer]:
     core0, core1 = tb.user_core(0), tb.user_core(1)
     transfers = {}
     for i in range(iters):
-        transfers[f"0->1#{i}"] = _Transfer(f"0->1#{i}")
-        transfers[f"1->0#{i}"] = _Transfer(f"1->0#{i}")
+        transfers[f"0->1#{i}"] = _Transfer()
+        transfers[f"1->0#{i}"] = _Transfer()
 
     # Both directions' receives are posted before either side sends, so a
     # dead-lettered message can never strand its successors unmatched.
@@ -142,34 +142,23 @@ def _workload_pingpong(tb, size: int, iters: int) -> dict[str, _Transfer]:
         while posted["count"] < 2:
             yield ready.wait()
 
-    def node0():
-        buf = ep0.space.alloc(max(size, 1))
-        for i in range(iters):
-            rbuf = ep0.space.alloc(max(size, 1))
-            req = yield from ep0.irecv(core0, _match(1, i), ~0, rbuf, 0, size)
-            transfers[f"1->0#{i}"].recv_req = req
+    def side(me, peer, ep, core, peer_addr):
+        # node0 pings (send, then await the reply); node1 pongs
+        buf = ep.space.alloc(max(size, 1))
+        yield from _irecvs(ep, core, peer, me, size, iters, transfers)
         yield from barrier()
         for i in range(iters):
-            req = yield from ep0.isend(core0, ep1.addr, _match(0, i), buf, 0, size)
-            transfers[f"0->1#{i}"].send_req = req
-            yield from ep0.wait(core0, req)
-            yield from ep0.wait(core0, transfers[f"1->0#{i}"].recv_req)
+            reply = transfers[f"{peer}->{me}#{i}"]
+            if me == 1:
+                yield from ep.wait(core, reply.recv_req)
+            req = yield from ep.isend(core, peer_addr, _match(me, i), buf, 0, size)
+            transfers[f"{me}->{peer}#{i}"].send_req = req
+            yield from ep.wait(core, req)
+            if me == 0:
+                yield from ep.wait(core, reply.recv_req)
 
-    def node1():
-        buf = ep1.space.alloc(max(size, 1))
-        for i in range(iters):
-            rbuf = ep1.space.alloc(max(size, 1))
-            req = yield from ep1.irecv(core1, _match(0, i), ~0, rbuf, 0, size)
-            transfers[f"0->1#{i}"].recv_req = req
-        yield from barrier()
-        for i in range(iters):
-            yield from ep1.wait(core1, transfers[f"0->1#{i}"].recv_req)
-            req = yield from ep1.isend(core1, ep0.addr, _match(1, i), buf, 0, size)
-            transfers[f"1->0#{i}"].send_req = req
-            yield from ep1.wait(core1, req)
-
-    tb.sim.daemon(node0(), name="faults-pingpong-n0")
-    tb.sim.daemon(node1(), name="faults-pingpong-n1")
+    tb.sim.daemon(side(0, 1, ep0, core0, ep1.addr), name="faults-pingpong-n0")
+    tb.sim.daemon(side(1, 0, ep1, core1, ep0.addr), name="faults-pingpong-n1")
     return transfers
 
 
@@ -177,11 +166,8 @@ def _workload_incast(tb, size: int, iters: int) -> dict[str, _Transfer]:
     """Fan-in: every other node streams to node0 through the switch."""
     n = INCAST_SENDERS + 1
     ep0 = tb.open_endpoint(0, 0)
-    transfers = {}
-    for src in range(1, n):
-        for i in range(iters):
-            key = f"{src}->0#{i}"
-            transfers[key] = _Transfer(key)
+    transfers = {f"{src}->0#{i}": _Transfer()
+                 for src in range(1, n) for i in range(iters)}
     _post_recvs(tb, ep0, 0, tb.user_core(0), list(range(1, n)), size, iters,
                 transfers)
     for src in range(1, n):
@@ -189,6 +175,15 @@ def _workload_incast(tb, size: int, iters: int) -> dict[str, _Transfer]:
         _run_senders(tb, ep, src, tb.user_core(src), 0, ep0.addr, size, iters,
                      transfers)
     return transfers
+
+
+#: the single workload table: name -> builder ``(tb, size, iters) -> transfers``
+#: (campaign cells, soak runs and the race corpus all dispatch through it)
+WORKLOADS = {
+    "pingpong": _workload_pingpong,
+    "stream": _workload_stream,
+    "incast": _workload_incast,
+}
 
 
 def _build_testbed(workload: str):
@@ -210,16 +205,12 @@ def _build_testbed(workload: str):
 TRACE_MAX_SPANS = 4096
 
 
-def run_cell(workload: str, size: int, plan: FaultPlan,
-             iters: int = 3, trace: bool = False) -> dict:
-    """Run one (workload, size, plan) cell; returns its JSON-able report.
-
-    With ``trace=True`` every host records a bounded span timeline and the
-    report gains a ``trace_events`` document (Perfetto JSON, one process
-    group per host) — faults and retransmits show up as instant events.
-    """
+def _start_cell(workload: str, size: int, iters: int, plan: FaultPlan,
+                trace: bool = False):
+    """Campaign/soak setup; returns ``(tb, sanitizer, armed, transfers)``.
+    The order (testbed, traces, sanitizer, plan, workload) is part of the
+    determinism contract: event counts depend on it."""
     from repro.analysis.sanitizers import Sanitizer
-    from repro.core.counters import collect_counters
 
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}")
@@ -231,16 +222,14 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
     san = Sanitizer()
     for host in tb.hosts:
         san.watch_host(host)
-
     armed = arm_plan(tb, plan)
-    if workload == "pingpong":
-        transfers = _workload_pingpong(tb, size, iters)
-    elif workload == "stream":
-        transfers = _workload_stream(tb, size, iters)
-    else:
-        transfers = _workload_incast(tb, size, iters)
+    return tb, san, armed, WORKLOADS[workload](tb, size, iters)
 
-    tb.sim.run(until=CELL_DEADLINE, max_events=CELL_MAX_EVENTS)
+
+def _cell_report(tb, san, armed, transfers, trace: bool = False) -> dict:
+    """The report fields campaign cells and soak runs share: outcome
+    tally, injected faults, summed stack counters, sanitizer verdict."""
+    from repro.core.counters import collect_counters
 
     outcomes = {"completed": 0, "failed": 0, "hung": 0}
     failures: dict[str, int] = {}
@@ -252,31 +241,20 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
             failures[err] = failures.get(err, 0) + 1
         if outcome == "hung":
             hung_keys.append(key)
-
-    stack_counters: dict[str, int] = {}
-    for stack in tb.stacks:
-        for key, val in collect_counters(stack).items():
-            stack_counters[key] = stack_counters.get(key, 0) + val
+    counters = _sum_dicts(collect_counters(stack) for stack in tb.stacks)
     # Wall-clock is the one nondeterministic counter; reports must be a
     # pure function of the cell identity.
-    stack_counters.pop("sim_wall_ms", None)
-    if getattr(tb, "switch", None) is not None:
-        stack_counters["switch_dropped"] = tb.switch.dropped
-        stack_counters["switch_forwarded"] = tb.switch.forwarded
-
-    violations = [v.format() for v in san.check()]
+    counters.pop("sim_wall_ms", None)
     report = {
-        "workload": workload,
-        "size": size,
-        "plan": plan.name,
-        "seed": plan.seed,
+        "plan": armed.plan.name,
+        "seed": armed.plan.seed,
         "messages": len(transfers),
         "outcomes": outcomes,
         "failures": failures,
         "hung_keys": hung_keys,
         "injected": armed.counters(),
-        "counters": stack_counters,
-        "sanitizer": violations,
+        "counters": counters,
+        "sanitizer": [v.format() for v in san.check()],
         "end_time": tb.sim.now,
     }
     if trace:
@@ -285,6 +263,40 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
         report["trace_events"] = export_trace_events(
             [(host.name, host.trace) for host in tb.hosts]
         )
+    return report
+
+
+def _sum_dicts(dicts) -> dict[str, int]:
+    """Counter dicts summed key by key (keys in first-seen order)."""
+    total: dict[str, int] = {}
+    for counts in dicts:
+        for key, val in counts.items():
+            total[key] = total.get(key, 0) + val
+    return total
+
+
+def _outcome_totals(reports) -> dict[str, int]:
+    """Campaign cells' or soak runs' outcomes summed over the matrix."""
+    return {key: sum(r["outcomes"][key] for r in reports)
+            for key in ("completed", "failed", "hung")}
+
+
+def run_cell(workload: str, size: int, plan: FaultPlan,
+             iters: int = 3, trace: bool = False) -> dict:
+    """Run one (workload, size, plan) cell; returns its JSON-able report.
+
+    With ``trace=True`` every host records a bounded span timeline and the
+    report gains a ``trace_events`` document (Perfetto JSON, one process
+    group per host) — faults and retransmits show up as instant events.
+    """
+    tb, san, armed, transfers = _start_cell(workload, size, iters, plan,
+                                            trace)
+    tb.sim.run(until=CELL_DEADLINE, max_events=CELL_MAX_EVENTS)
+    report = {"workload": workload, "size": size,
+              **_cell_report(tb, san, armed, transfers, trace)}
+    if getattr(tb, "switch", None) is not None:
+        report["counters"]["switch_dropped"] = tb.switch.dropped
+        report["counters"]["switch_forwarded"] = tb.switch.forwarded
     return report
 
 
@@ -308,7 +320,7 @@ class CampaignSpec:
     the skip is recorded in the report rather than silently absorbed.
     """
 
-    workloads: tuple = WORKLOADS
+    workloads: tuple = tuple(WORKLOADS)
     sizes: tuple = QUICK_SIZES
     plans: tuple = field(default_factory=tuple)
     iters: int = 3
@@ -342,7 +354,7 @@ def quick_campaign_spec(seed: str = "campaign") -> CampaignSpec:
         switches=(SwitchFaultSpec(port=0, windows=((us(50), us(120)),)),),
     )
     return CampaignSpec(
-        workloads=WORKLOADS,
+        workloads=tuple(WORKLOADS),
         sizes=(16 * 1024, 256 * 1024),
         plans=(plans["clean"], plans["lossy-data"], plans["lossy-acks"],
                plans["ioat-fail"], egress),
@@ -371,22 +383,9 @@ def run_campaign(spec: CampaignSpec, executor=None, trace: bool = False) -> dict
     ]
     results = executor.run(points)
 
-    totals = {"completed": 0, "failed": 0, "hung": 0}
-    injected = {}
-    sanitizer_dirty = []
-    retransmissions = dead_letters = fallback_copies = 0
-    for cell in results:
-        for key in totals:
-            totals[key] += cell["outcomes"][key]
-        for key, val in cell["injected"].items():
-            injected[key] = injected.get(key, 0) + val
-        if cell["sanitizer"]:
-            sanitizer_dirty.append(
-                f'{cell["workload"]}/{cell["size"]}/{cell["plan"]}'
-            )
-        retransmissions += cell["counters"].get("retransmissions", 0)
-        dead_letters += cell["counters"].get("dead_letters", 0)
-        fallback_copies += cell["counters"].get("offload_fallback_copies", 0)
+    def total(counter: str) -> int:
+        return sum(cell["counters"].get(counter, 0) for cell in results)
+
     return {
         "spec": {
             "workloads": list(spec.workloads),
@@ -397,18 +396,27 @@ def run_campaign(spec: CampaignSpec, executor=None, trace: bool = False) -> dict
         },
         "cells": results,
         "skipped_cells": skipped,
-        "totals": totals,
-        "injected": injected,
-        "retransmissions": retransmissions,
-        "dead_letters": dead_letters,
-        "fallback_copies": fallback_copies,
-        "sanitizer_dirty_cells": sanitizer_dirty,
+        "totals": _outcome_totals(results),
+        "injected": _sum_dicts(cell["injected"] for cell in results),
+        "retransmissions": total("retransmissions"),
+        "dead_letters": total("dead_letters"),
+        "fallback_copies": total("offload_fallback_copies"),
+        "sanitizer_dirty_cells": [
+            f'{cell["workload"]}/{cell["size"]}/{cell["plan"]}'
+            for cell in results if cell["sanitizer"]
+        ],
     }
 
 
+def report_json(report: dict) -> str:
+    """Canonical byte-stable serialization (the determinism contract)."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def write_report(report: dict, path) -> Path:
-    """Serialize a campaign report (sorted keys: byte-stable output)."""
+    """Write a report as :func:`report_json` (campaign, soak and fabric
+    sweep artifacts all go through here)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    path.write_text(report_json(report))
     return path

@@ -36,10 +36,15 @@ no-progress trip is the livelock detector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
-from repro.faults.injectors import arm_plan
+from repro.faults.campaign import (  # report_json: re-exported, one serializer
+    _cell_report,
+    _outcome_totals,
+    _start_cell,
+    _sum_dicts,
+    report_json,
+)
 from repro.faults.plan import FaultPlan, soak_plans
 from repro.units import KiB, ms, us
 
@@ -93,55 +98,39 @@ def soak_suite(seed: str = "soak", iters: int = 6) -> list[SoakSpec]:
     ]
 
 
-def _nonterminal(transfers) -> int:
-    return sum(1 for t in transfers.values() if t.classify()[0] == "hung")
+def watch_progress(sim, name: str, interval: int, stall_limit: int,
+                   sample) -> list[dict]:
+    """Start the soak watchdog (both fidelity levels); returns the list
+    its checkpoint records are appended to.
 
-
-def _checkpoint_daemon(tb, spec: SoakSpec, transfers, checkpoints: list):
-    """Periodic invariant sampling; raises LivelockError on sustained
-    no-progress.  Self-terminates once every transfer is terminal, so it
-    never keeps the event heap alive past quiescence."""
-    stalled = {"count": 0, "frames": -1, "terminal": -1}
-
-    def frames_moved() -> int:
-        return sum(h.nic.rx_frames + h.nic.tx_frames for h in tb.hosts)
+    Every ``interval`` ticks (a bare-int sleep) ``sample()`` returns
+    ``(record, progress)``.  A ``progress`` of None means the run is done
+    and the daemon exits, so it never keeps the event heap alive past
+    quiescence.  After the first checkpoint, ``stall_limit`` consecutive
+    checkpoints with an unchanged ``progress`` raise :class:`LivelockError`
+    (the simulator surfaces it as the cause of a daemon failure).
+    """
+    checkpoints: list[dict] = []
 
     def proc():
+        stalled, last = 0, None
         while True:
-            yield spec.checkpoint_interval  # bare-int sleep
-            open_transfers = _nonterminal(transfers)
-            frames = frames_moved()
-            checkpoints.append({
-                "t": tb.sim.now,
-                "nonterminal": open_transfers,
-                "skbuffs": sum(h.skb_pool.outstanding for h in tb.hosts),
-                "net_pins": sum(
-                    h.pinner.pin_calls - h.pinner.unpin_calls
-                    for h in tb.hosts
-                ),
-                "frames": frames,
-                "breaker_open": sum(
-                    h.health.open_channels for h in tb.hosts
-                ),
-            })
-            if open_transfers == 0:
+            yield interval  # bare-int sleep
+            record, progress = sample()
+            checkpoints.append(record)
+            if progress is None:
                 return
-            terminal = len(transfers) - open_transfers
-            if frames == stalled["frames"] and terminal == stalled["terminal"]:
-                stalled["count"] += 1
-                if stalled["count"] >= spec.stall_limit:
+            if progress == last:
+                stalled += 1
+                if stalled >= stall_limit:
                     raise LivelockError(
-                        f"soak {spec.name!r}: no frame moved and no "
-                        f"transfer terminated across {stalled['count']} "
-                        f"checkpoints ({open_transfers} still open at "
-                        f"t={tb.sim.now})"
-                    )
+                        f"{name}: no progress across {stalled} checkpoints "
+                        f"(last checkpoint: {record})")
             else:
-                stalled["count"] = 0
-                stalled["frames"] = frames
-                stalled["terminal"] = terminal
+                stalled, last = 0, progress
 
-    tb.sim.daemon(proc(), name=f"soak-checkpoint-{spec.name}")
+    sim.daemon(proc(), name=name)
+    return checkpoints
 
 
 def run_soak(spec: SoakSpec, trace: bool = False) -> dict:
@@ -152,113 +141,65 @@ def run_soak(spec: SoakSpec, trace: bool = False) -> dict:
     section with just the supervision counters (breaker trips and
     re-opens, keepalives, peer deaths, busy signals).
     """
-    from repro.analysis.sanitizers import Sanitizer
-    from repro.core.counters import collect_counters, collect_health
-    from repro.faults.campaign import (
-        TRACE_MAX_SPANS,
-        _build_testbed,
-        _workload_incast,
-        _workload_pingpong,
-        _workload_stream,
-    )
+    from repro.core.counters import collect_health
 
-    tb = _build_testbed(spec.workload)
-    if trace:
-        for host in tb.hosts:
-            host.trace.enabled = True
-            host.trace.set_max_spans(TRACE_MAX_SPANS)
-    san = Sanitizer()
-    for host in tb.hosts:
-        san.watch_host(host)
+    tb, san, armed, transfers = _start_cell(spec.workload, spec.size,
+                                            spec.iters, spec.plan, trace)
 
-    armed = arm_plan(tb, spec.plan)
-    workload = {
-        "stream": _workload_stream,
-        "pingpong": _workload_pingpong,
-        "incast": _workload_incast,
-    }[spec.workload]
-    transfers = workload(tb, spec.size, spec.iters)
+    def sample():
+        # progress: a transfer reached a terminal state or a frame crossed
+        # a NIC
+        open_transfers = sum(1 for t in transfers.values()
+                             if t.classify()[0] == "hung")
+        frames = sum(h.nic.rx_frames + h.nic.tx_frames for h in tb.hosts)
+        record = {
+            "t": tb.sim.now,
+            "nonterminal": open_transfers,
+            "skbuffs": sum(h.skb_pool.outstanding for h in tb.hosts),
+            "net_pins": sum(
+                h.pinner.pin_calls - h.pinner.unpin_calls for h in tb.hosts
+            ),
+            "frames": frames,
+            "breaker_open": sum(h.health.open_channels for h in tb.hosts),
+        }
+        if open_transfers == 0:
+            return record, None
+        return record, (frames, len(transfers) - open_transfers)
 
-    checkpoints: list[dict] = []
-    _checkpoint_daemon(tb, spec, transfers, checkpoints)
-
+    checkpoints = watch_progress(tb.sim, f"soak-checkpoint-{spec.name}",
+                                 spec.checkpoint_interval, spec.stall_limit,
+                                 sample)
     tb.sim.run(until=spec.deadline, max_events=SOAK_MAX_EVENTS)
-
-    outcomes = {"completed": 0, "failed": 0, "hung": 0}
-    failures: dict[str, int] = {}
-    hung_keys = []
-    for key in sorted(transfers):
-        outcome, err = transfers[key].classify()
-        outcomes[outcome] += 1
-        if err is not None:
-            failures[err] = failures.get(err, 0) + 1
-        if outcome == "hung":
-            hung_keys.append(key)
-
-    counters: dict[str, int] = {}
-    health: dict[str, int] = {}
-    for stack in tb.stacks:
-        for key, val in collect_counters(stack).items():
-            counters[key] = counters.get(key, 0) + val
-        for key, val in collect_health(stack).items():
-            health[key] = health.get(key, 0) + val
-    counters.pop("sim_wall_ms", None)
-
-    report = {
+    return {
         "soak": spec.name,
         "workload": spec.workload,
         "size": spec.size,
         "iters": spec.iters,
-        "plan": spec.plan.name,
-        "seed": spec.plan.seed,
-        "messages": len(transfers),
-        "outcomes": outcomes,
-        "failures": failures,
-        "hung_keys": hung_keys,
-        "injected": armed.counters(),
         "checkpoints": checkpoints,
-        "counters": counters,
-        "health": health,
-        "sanitizer": [v.format() for v in san.check()],
-        "end_time": tb.sim.now,
+        "health": _sum_dicts(collect_health(stack) for stack in tb.stacks),
+        **_cell_report(tb, san, armed, transfers, trace),
     }
-    if trace:
-        from repro.obs.trace import export_trace_events
-
-        report["trace_events"] = export_trace_events(
-            [(host.name, host.trace) for host in tb.hosts]
-        )
-    return report
 
 
 def run_soak_suite(seed: str = "soak", iters: int = 6,
                    deadline: int = SOAK_DEADLINE,
-                   fabric: bool = True) -> dict:
+                   fabric: bool = True, trace: bool = False) -> dict:
     """Run the whole stock suite under one seed; aggregates like a
     campaign report.  Byte-identical per seed (sorted-keys JSON).
 
     With ``fabric`` (the default) the chunk-level fabric soak suite
     (:func:`run_fabric_soak_suite`) rides along as a separate ``"fabric"``
-    section — same seed, same determinism contract.
+    section — same seed, same determinism contract.  ``trace`` is passed
+    to every host-pair :func:`run_soak`.
     """
-    runs = []
-    totals = {"completed": 0, "failed": 0, "hung": 0}
-    dirty = []
-    for spec in soak_suite(seed, iters=iters):
-        if deadline != spec.deadline:
-            spec = replace(spec, deadline=deadline)
-        report = run_soak(spec)
-        runs.append(report)
-        for key in totals:
-            totals[key] += report["outcomes"][key]
-        if report["sanitizer"]:
-            dirty.append(spec.name)
+    runs = [run_soak(replace(spec, deadline=deadline), trace=trace)
+            for spec in soak_suite(seed, iters=iters)]
     out = {
         "seed": seed,
         "iters": iters,
         "runs": runs,
-        "totals": totals,
-        "sanitizer_dirty_runs": dirty,
+        "totals": _outcome_totals(runs),
+        "sanitizer_dirty_runs": [r["soak"] for r in runs if r["sanitizer"]],
     }
     if fabric:
         out["fabric"] = run_fabric_soak_suite(seed)
@@ -336,59 +277,6 @@ def fabric_soak_suite(seed: str = "soak") -> list[FabricSoakSpec]:
     ]
 
 
-def _fabric_checkpoint_daemon(world, spec: FabricSoakSpec, state: dict,
-                              checkpoints: list) -> None:
-    """Progress sampling over the fabric's flow counters.
-
-    Progress means a message reached a terminal state (delivered or
-    failed) or a chunk moved (forwarded or retried); ``stall_limit``
-    checkpoints without any of that while work is still open is a
-    livelock — the resilience layer's whole drain argument (declaration
-    waves, retry caps, breaker hold-downs) bounds every stall well under
-    that budget.  Self-terminates once every surviving body finished and
-    the network quiesced."""
-    net = world.net
-    stalled = {"count": 0, "terminal": -1, "moved": -1}
-
-    def proc():
-        while True:
-            yield spec.checkpoint_interval
-            open_msgs = (net.msgs_sent - net.msgs_delivered
-                         - net.msgs_failed)
-            terminal = net.msgs_delivered + net.msgs_failed
-            moved = net.chunks_forwarded + net.chunks_retried
-            res = net.resilience
-            checkpoints.append({
-                "t": world.sim.now,
-                "open_msgs": open_msgs,
-                "terminal": terminal,
-                "forwarded": net.chunks_forwarded,
-                "retried": net.chunks_retried,
-                "rerouted": net.chunks_rerouted,
-                "reroutes": res.reroutes if res is not None else 0,
-                "flaps_suppressed": (res.flaps_suppressed
-                                     if res is not None else 0),
-                "dead_ranks": len(world.dead),
-            })
-            if state["open_bodies"] <= len(world.dead) and open_msgs == 0:
-                return
-            if terminal == stalled["terminal"] and moved == stalled["moved"]:
-                stalled["count"] += 1
-                if stalled["count"] >= spec.stall_limit:
-                    raise LivelockError(
-                        f"fabric soak {spec.name!r}: no message terminated "
-                        f"and no chunk moved across {stalled['count']} "
-                        f"checkpoints ({open_msgs} open msgs, "
-                        f"{state['open_bodies']} bodies at "
-                        f"t={world.sim.now})")
-            else:
-                stalled["count"] = 0
-                stalled["terminal"] = terminal
-                stalled["moved"] = moved
-
-    world.sim.daemon(proc(), name=f"fabric-soak-checkpoint-{spec.name}")
-
-
 def run_fabric_soak(spec: FabricSoakSpec) -> dict:
     """Run one fabric soak to quiescence; returns its JSON-able report.
 
@@ -397,17 +285,47 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
     crash-stop mid-arc shrinks the ring and the remaining rounds run over
     the survivors.  Byte-identical per seed.
     """
-    from repro.fabric.mpi import launch_fabric_world
     from repro.fabric.resilience import resilient_allreduce
-    from repro.fabric.sweep import make_topology
+    from repro.fabric.sweep import fabric_world, health_sections, net_stats
 
-    topo = make_topology(spec.topology, spec.hosts, spec.oversubscription,
-                         4, ecmp_seed=spec.plan.seed)
-    world = launch_fabric_world(topo, backend="memcpy")
-    armed = arm_plan(world, spec.plan)
+    world, armed = fabric_world(spec.topology, spec.hosts,
+                                spec.oversubscription, 4,
+                                ecmp_seed=spec.plan.seed,
+                                plan=lambda _topo: spec.plan,
+                                backend="memcpy")
+    net = world.net
     state = {"open_bodies": world.size}
-    checkpoints: list[dict] = []
-    _fabric_checkpoint_daemon(world, spec, state, checkpoints)
+
+    def sample():
+        # Progress means a message reached a terminal state (delivered or
+        # failed) or a chunk moved (forwarded or retried).  The resilience
+        # layer's drain argument (declaration waves, retry caps, breaker
+        # hold-downs) bounds every stall well under ``stall_limit``
+        # checkpoints.  Done once every surviving body finished and the
+        # network quiesced.
+        open_msgs = net.msgs_sent - net.msgs_delivered - net.msgs_failed
+        terminal = net.msgs_delivered + net.msgs_failed
+        res = net.resilience
+        record = {
+            "t": world.sim.now,
+            "open_msgs": open_msgs,
+            "terminal": terminal,
+            "forwarded": net.chunks_forwarded,
+            "retried": net.chunks_retried,
+            "rerouted": net.chunks_rerouted,
+            "reroutes": res.reroutes if res is not None else 0,
+            "flaps_suppressed": (res.flaps_suppressed
+                                 if res is not None else 0),
+            "dead_ranks": len(world.dead),
+        }
+        if state["open_bodies"] <= len(world.dead) and open_msgs == 0:
+            return record, None
+        return record, (terminal, net.chunks_forwarded + net.chunks_retried)
+
+    checkpoints = watch_progress(world.sim,
+                                 f"fabric-soak-checkpoint-{spec.name}",
+                                 spec.checkpoint_interval, spec.stall_limit,
+                                 sample)
 
     def body(rank):
         for _ in range(spec.rounds):
@@ -422,11 +340,9 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
         world.finish()
     except AssertionError as exc:
         sanitizer.append(str(exc))
-    net = world.net
-    res = net.resilience
-    report = {
+    return {
         "soak": spec.name,
-        "topology": topo.name,
+        "topology": world.spec.name,
         "hosts": world.size,
         "size": spec.size,
         "rounds": spec.rounds,
@@ -438,41 +354,18 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
         "stale_drained": world.stale_drained,
         "injected": armed.counters(),
         "checkpoints": checkpoints,
-        "net": {
-            "msgs_sent": net.msgs_sent,
-            "msgs_delivered": net.msgs_delivered,
-            "msgs_failed": net.msgs_failed,
-            "chunks_forwarded": net.chunks_forwarded,
-            "chunks_dropped": net.chunks_dropped,
-            "chunks_rerouted": net.chunks_rerouted,
-            "chunks_retried": net.chunks_retried,
-        },
+        "net": net_stats(world),
         "sanitizer": sanitizer,
         "end_time": world.sim.now,
+        **health_sections(world),
     }
-    if res is not None:
-        report["resilience"] = res.snapshot()
-    if world.liveness is not None:
-        report["liveness"] = world.liveness.snapshot()
-    return report
 
 
 def run_fabric_soak_suite(seed: str = "soak") -> dict:
     """Run the fabric soak library under one seed; byte-identical JSON."""
-    runs = []
-    dirty = []
-    for spec in fabric_soak_suite(seed):
-        report = run_fabric_soak(spec)
-        runs.append(report)
-        if report["sanitizer"]:
-            dirty.append(spec.name)
+    runs = [run_fabric_soak(spec) for spec in fabric_soak_suite(seed)]
     return {
         "seed": seed,
         "runs": runs,
-        "sanitizer_dirty_runs": dirty,
+        "sanitizer_dirty_runs": [r["soak"] for r in runs if r["sanitizer"]],
     }
-
-
-def report_json(report: dict) -> str:
-    """Canonical byte-stable serialization (the determinism contract)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

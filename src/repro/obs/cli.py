@@ -28,10 +28,9 @@ def _cmd_report(args) -> int:
     report = fig9_report(quick=not args.full, executor=executor)
     print(render_fig9(report))
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        print(f"report: {path}")
+        from repro.faults.campaign import write_report
+
+        print(f"report: {write_report(report, args.json)}")
     return 0 if report["calibration_ok"] else 1
 
 

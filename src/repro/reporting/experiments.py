@@ -41,23 +41,27 @@ def _executor(executor: Optional[SweepExecutor]) -> SweepExecutor:
     return executor if executor is not None else SweepExecutor()
 
 
-def _pingpong_mib_s(stack: str, size: int, iters: int, **omx) -> float:
-    """One ping-pong point, run directly (kept for tests/benchmarks)."""
-    from repro.reporting import sweeps
+def _plot(fig: Figure, series: list, executor: Optional[SweepExecutor]) -> Figure:
+    """Run every ``(label, sizes, kind, params)`` row as one sweep — point
+    ``kind`` with ``size=size, **params`` per size — and add each row's
+    values to ``fig`` as one series."""
+    points = [point(kind, size=size, **params)
+              for _label, sizes, kind, params in series for size in sizes]
+    values = iter(_executor(executor).run(points))
+    for label, sizes, _kind, _params in series:
+        s = fig.new_series(label)
+        for size in sizes:
+            s.add(size, next(values))
+    return fig
 
-    return sweeps.point_pingpong(stack, size, iters, omx)
 
-
-def _memcpy_chunked_mib_s(size: int, chunk: int) -> float:
-    from repro.reporting import sweeps
-
-    return sweeps.point_memcpy_chunked(size, chunk)
-
-
-def _ioat_chunked_mib_s(size: int, chunk: int) -> float:
-    from repro.reporting import sweeps
-
-    return sweeps.point_ioat_chunked(size, chunk)
+def _pingpong_figure(fig: Figure, sizes: list[int], iters: int, configs,
+                     executor: Optional[SweepExecutor]) -> Figure:
+    """One ping-pong series per ``(label, stack, omx overrides)`` config
+    (Figs. 3, 8 and 11)."""
+    return _plot(fig, [(label, sizes, "pingpong",
+                        dict(stack=stack, iters=iters, omx=cfg))
+                       for label, stack, cfg in configs], executor)
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +74,11 @@ def fig3(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figur
     iters = 3 if quick else 5
     fig = Figure("FIG3", "Expected Open-MX improvement without the BH receive copy",
                  "message size", "throughput (MiB/s)")
-    configs = [
+    return _pingpong_figure(fig, sizes, iters, [
         ("MX", "mx", {}),
         ("Open-MX ignoring BH receive copy", "omx", dict(ignore_bh_copy=True)),
         ("Open-MX", "omx", {}),
-    ]
-    points = [
-        point("pingpong", stack=stack, size=size, iters=iters, omx=cfg)
-        for _label, stack, cfg in configs
-        for size in sizes
-    ]
-    values = iter(_executor(executor).run(points))
-    for label, _stack, _cfg in configs:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    ], executor)
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +93,12 @@ def fig7(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figur
     chunk_sizes = [4 * KiB, 1 * KiB, 256]
     fig = Figure("FIG7", "Pipelined memcpy vs I/OAT copy by chunk size",
                  "copy size", "throughput (MiB/s)")
-
-    series: list[tuple[str, list[int]]] = []
-    points = []
-    for kind, label in (("memcpy_chunked", "Memcpy"), ("ioat_chunked", "I/OAT Copy")):
-        for chunk in chunk_sizes:
-            sizes = [size for size in copy_sizes if size >= chunk]
-            series.append((f"{label} - {_sz(chunk)} chunks", sizes))
-            points.extend(point(kind, size=size, chunk=chunk) for size in sizes)
-    values = iter(_executor(executor).run(points))
-    for label, sizes in series:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    return _plot(fig, [
+        (f"{label} - {_sz(chunk)} chunks",
+         [size for size in copy_sizes if size >= chunk], kind, dict(chunk=chunk))
+        for kind, label in (("memcpy_chunked", "Memcpy"), ("ioat_chunked", "I/OAT Copy"))
+        for chunk in chunk_sizes
+    ], executor)
 
 
 def _sz(n: int) -> str:
@@ -159,23 +144,12 @@ def fig8(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figur
     iters = 3 if quick else 5
     fig = Figure("FIG8", "Ping-pong with I/OAT asynchronous copy offload",
                  "message size", "throughput (MiB/s)")
-    configs = [
+    return _pingpong_figure(fig, sizes, iters, [
         ("MX", "mx", {}),
         ("Open-MX ignoring BH receive copy", "omx", dict(ignore_bh_copy=True)),
         ("Open-MX with DMA copy in BH receive", "omx", dict(ioat_enabled=True)),
         ("Open-MX", "omx", {}),
-    ]
-    points = [
-        point("pingpong", stack=stack, size=size, iters=iters, omx=cfg)
-        for _label, stack, cfg in configs
-        for size in sizes
-    ]
-    values = iter(_executor(executor).run(points))
-    for label, _stack, _cfg in configs:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    ], executor)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +208,9 @@ def fig10(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figu
         ("Memcpy between different processor sockets", "cross_socket", {}),
         ("I/OAT offloaded synchronous copy", "same_die", dict(ioat_enabled=True)),
     ]
-    points = [
-        point("shm_pingpong", size=size, placement=placement, iters=iters, cfg=cfg)
-        for _label, placement, cfg in configs
-        for size in sizes
-    ]
-    values = iter(_executor(executor).run(points))
-    for label, _placement, _cfg in configs:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    return _plot(fig, [(label, sizes, "shm_pingpong",
+                        dict(placement=placement, iters=iters, cfg=cfg))
+                       for label, placement, cfg in configs], executor)
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +222,14 @@ def fig11(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figu
     iters = 3 if quick else 5
     fig = Figure("FIG11", "IMB PingPong: I/OAT and registration cache",
                  "message size", "throughput (MiB/s)")
-    configs = [
+    return _pingpong_figure(fig, sizes, iters, [
         ("MX", "mx", {}),
         ("Open-MX I/OAT", "omx", dict(ioat_enabled=True)),
         ("Open-MX", "omx", {}),
         ("Open-MX I/OAT w/o regcache", "omx",
          dict(ioat_enabled=True, regcache_enabled=False)),
         ("Open-MX w/o regcache", "omx", dict(regcache_enabled=False)),
-    ]
-    points = [
-        point("pingpong", stack=stack, size=size, iters=iters, omx=cfg)
-        for _label, stack, cfg in configs
-        for size in sizes
-    ]
-    values = iter(_executor(executor).run(points))
-    for label, _stack, _cfg in configs:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    ], executor)
 
 
 # ---------------------------------------------------------------------------

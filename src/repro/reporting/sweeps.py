@@ -29,12 +29,13 @@ from __future__ import annotations
 import concurrent.futures
 import gc
 import hashlib
+import importlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.memory import phantom
 
@@ -183,7 +184,11 @@ def point_nas_is(stack: str, keys: int, iters: int, omx: dict) -> dict:
     }
 
 
-POINT_KINDS: dict[str, Callable] = {
+#: every sweep point kind.  Kinds defined in modules that import this one
+#: are named as "module:function" and imported on first use (no import
+#: cycle: repro.faults.campaign imports SweepExecutor from here).  Kind
+#: names are part of every cache key.
+POINT_KINDS: dict[str, Union[Callable, str]] = {
     "pingpong": point_pingpong,
     "memcpy_chunked": point_memcpy_chunked,
     "ioat_chunked": point_ioat_chunked,
@@ -191,39 +196,29 @@ POINT_KINDS: dict[str, Callable] = {
     "shm_pingpong": point_shm_pingpong,
     "imb_time": point_imb_time,
     "nas_is": point_nas_is,
-}
-
-#: kinds resolved on first use ("module:function") — packages that import
-#: this module can still contribute point kinds without an import cycle
-#: (repro.faults.campaign imports SweepExecutor from here)
-LAZY_POINT_KINDS: dict[str, str] = {
     "fault_cell": "repro.faults.campaign:point_fault_cell",
     "cpu_profile": "repro.obs.profiler:point_cpu_profile",
     "vectored": "repro.workloads.vectored:point_vectored",
-    "fabric": "repro.fabric.sweep:point_fabric",
-    "fabric_cell": "repro.fabric.sweep:point_fabric_cell",
-    "imb_fabric": "repro.fabric.sweep:point_imb_fabric",
+    "fabric": "repro.fabric.sweep:run_fabric_collective",
+    "fabric_cell": "repro.fabric.sweep:run_fabric_cell",
+    "imb_fabric": "repro.fabric.sweep:run_imb_fabric",
 }
 
 
 def resolve_kind(kind: str) -> Callable:
-    """The point function for ``kind``, importing lazy kinds on demand."""
+    """The point function for ``kind``, importing it on demand."""
     fn = POINT_KINDS.get(kind)
     if fn is None:
-        target = LAZY_POINT_KINDS.get(kind)
-        if target is None:
-            raise KeyError(f"unknown sweep point kind {kind!r}")
-        import importlib
-
-        mod, _, attr = target.partition(":")
+        raise KeyError(f"unknown sweep point kind {kind!r}")
+    if isinstance(fn, str):
+        mod, _, attr = fn.partition(":")
         fn = getattr(importlib.import_module(mod), attr)
-        POINT_KINDS[kind] = fn
     return fn
 
 
 def point(kind: str, **params) -> tuple[str, dict]:
     """Declare one sweep point; validates the kind early."""
-    if kind not in POINT_KINDS and kind not in LAZY_POINT_KINDS:
+    if kind not in POINT_KINDS:
         raise KeyError(f"unknown sweep point kind {kind!r}")
     return (kind, params)
 

@@ -59,3 +59,38 @@ def test_breaker_transitions_visible_in_trace():
     blob = json.dumps(report["trace_events"])
     assert "breaker TRIP" in blob
     assert "breaker REOPEN" in blob
+
+
+def test_watchdog_trips_after_stall_limit_checkpoints():
+    """A sampler whose progress never changes: the first checkpoint sets
+    the baseline, ``stall_limit`` more without progress raise (the daemon
+    surfaces it as a SimulationError caused by the LivelockError)."""
+    from repro.faults import LivelockError
+    from repro.faults.soak import watch_progress
+    from repro.simkernel.errors import SimulationError
+    from repro.simkernel.scheduler import Simulator
+
+    sim = Simulator()
+    checkpoints = watch_progress(sim, "stuck", 10, 4,
+                                 lambda: ({"t": sim.now}, 0))
+    with pytest.raises(SimulationError) as info:
+        sim.run()
+    assert isinstance(info.value.__cause__, LivelockError)
+    assert "stuck: no progress across 4 checkpoints" in str(info.value.__cause__)
+    assert [c["t"] for c in checkpoints] == [10, 20, 30, 40, 50]
+
+
+def test_watchdog_stops_when_done():
+    """Progress resets the stall count; a done sample ends the daemon
+    without raising and leaves nothing scheduled."""
+    from repro.faults.soak import watch_progress
+    from repro.simkernel.scheduler import Simulator
+
+    sim = Simulator()
+    # progress moves every other checkpoint: never 2 stalls in a row
+    progress = iter([0, 0, 1, 1, 2, 2, None])
+    checkpoints = watch_progress(sim, "moving", 10, 2,
+                                 lambda: ({"t": sim.now}, next(progress)))
+    sim.run()
+    assert len(checkpoints) == 7
+    assert sim.peek() is None
