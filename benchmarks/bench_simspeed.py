@@ -438,6 +438,93 @@ def test_resilience_zero_overhead():
 
 
 # ---------------------------------------------------------------------------
+# sanitizer-overhead gate
+# ---------------------------------------------------------------------------
+
+#: a sanitizer-watched campaign cell may cost at most this factor of the
+#: same cell unwatched.  The frame-walk acquire site measures 1.2-1.7x;
+#: a full-stack traceback per acquire measured 3.8-5.3x.
+SANITIZER_OVERHEAD_MAX_RATIO = 2.0
+
+#: campaign cells timed by the gate (phantom payloads, clean plan)
+_SAN_WORKLOADS = ("pingpong", "stream")
+_SAN_SIZES = (1024, 16 * 1024, 256 * 1024)
+_SAN_ITERS = 3
+
+#: each side's CPU time is the best of this many interleaved repeats
+_SAN_REPEATS = 5
+
+
+def _run_campaign_cells(watched: bool) -> dict:
+    """Every gate cell once, optionally under a :class:`Sanitizer`."""
+    from repro.analysis.sanitizers import Sanitizer
+    from repro.faults.campaign import (
+        CELL_DEADLINE, CELL_MAX_EVENTS, WORKLOADS, _build_testbed,
+    )
+
+    events = {}
+    cpu = 0.0
+    for workload in _SAN_WORKLOADS:
+        for size in _SAN_SIZES:
+            ev0 = Simulator.events_total
+            t0 = time.process_time()
+            tb = _build_testbed(workload)
+            if watched:
+                san = Sanitizer()
+                for host in tb.hosts:
+                    san.watch_host(host)
+            WORKLOADS[workload](tb, size, _SAN_ITERS)
+            tb.sim.run(until=CELL_DEADLINE, max_events=CELL_MAX_EVENTS)
+            if watched:
+                san.assert_clean()
+            cpu += time.process_time() - t0
+            events[f"{workload}/{size}"] = Simulator.events_total - ev0
+    return {"cpu_s": cpu, "events": events}
+
+
+def measure_sanitizer_overhead() -> dict:
+    """Watched vs unwatched campaign cells, interleaved in one process."""
+    runs = {False: [], True: []}
+    for _ in range(_SAN_REPEATS):
+        for watched in (False, True):
+            runs[watched].append(_run_campaign_cells(watched))
+    bare = min(runs[False], key=lambda r: r["cpu_s"])
+    watched = min(runs[True], key=lambda r: r["cpu_s"])
+    return {
+        "bare": bare,
+        "watched": watched,
+        "cpu_ratio": round(watched["cpu_s"] / bare["cpu_s"], 4)
+        if bare["cpu_s"] > 0 else 1.0,
+    }
+
+
+def test_sanitizer_overhead():
+    """Watching a campaign cell is cheap and does not change it.
+
+    The sanitizer only observes: event counts must be identical with and
+    without it.  Each acquire walks at most ``_SITE_DEPTH`` caller frames,
+    so the watched cell stays within ``SANITIZER_OVERHEAD_MAX_RATIO`` of
+    the bare one; a full-stack traceback per acquire does not.
+    """
+    report = measure_sanitizer_overhead()
+    bare, watched = report["bare"], report["watched"]
+    print()
+    print(f"  bare     {bare['cpu_s']:7.3f}s  "
+          f"{sum(bare['events'].values()):,} events")
+    print(f"  watched  {watched['cpu_s']:7.3f}s  "
+          f"{sum(watched['events'].values()):,} events  "
+          f"(cpu x{report['cpu_ratio']:.3f})")
+    assert watched["events"] == bare["events"], (
+        "watching changed the simulation itself "
+        f"({bare['events']} -> {watched['events']})"
+    )
+    assert report["cpu_ratio"] <= SANITIZER_OVERHEAD_MAX_RATIO, (
+        f"sanitizer-watched cells cost x{report['cpu_ratio']:.2f} the "
+        f"unwatched CPU time (limit x{SANITIZER_OVERHEAD_MAX_RATIO})"
+    )
+
+
+# ---------------------------------------------------------------------------
 # observability zero-overhead gate
 # ---------------------------------------------------------------------------
 
@@ -672,5 +759,6 @@ def test_simspeed_quick_suite():
 if __name__ == "__main__":
     test_simspeed_quick_suite()
     test_resilience_zero_overhead()
+    test_sanitizer_overhead()
     test_obs_zero_overhead()
     test_tiebreak_zero_overhead()

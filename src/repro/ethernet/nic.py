@@ -88,8 +88,16 @@ class Nic:
     # -- receive ----------------------------------------------------------
 
     def _fill_ring(self) -> None:
-        while len(self._rx_ring) < self.params.rx_ring_size:
-            self._rx_ring.append(self.pool.alloc_rx())
+        ring = self._rx_ring
+        short = self.params.rx_ring_size - len(ring)
+        if short > 1 and self.pool.observer is None:
+            ring.extend(self.pool.alloc_rx_many(short))
+            return
+        # One at a time: the usual one-frame NAPI refill, where the bulk
+        # call's list overhead costs more than it saves, and watched pools,
+        # which record one acquire site per skbuff, each naming alloc_rx.
+        for _ in range(short):
+            ring.append(self.pool.alloc_rx())
 
     def refill(self) -> None:
         """Driver-side ring replenishment (runs logically in the BH)."""

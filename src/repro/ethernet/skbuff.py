@@ -99,6 +99,27 @@ class SkbuffPool:
         region = self._free.pop() if self._free else self.space.alloc_pages(self.buf_pages)
         return self._track(Skbuff(self, region))
 
+    def alloc_rx_many(self, n: int) -> list[Skbuff]:
+        """``n >= 1`` receive skbuffs, exactly as ``n`` :meth:`alloc_rx`
+        calls would hand them out (free list first, LIFO, then fresh pages)
+        but with one address-space bump.  Not reported to ``observer``:
+        watched pools must allocate one :meth:`alloc_rx` at a time."""
+        free = self._free
+        if n <= len(free):
+            regions = free[-n:]
+            del free[-n:]
+            regions.reverse()
+        else:
+            regions = free[::-1]
+            free.clear()
+            regions += self.space.alloc_pages_many(self.buf_pages, n - len(regions))
+        count = self.outstanding + n
+        self.outstanding = count
+        self.total_allocated += n
+        if count > self.peak_outstanding:
+            self.peak_outstanding = count
+        return [Skbuff(self, region) for region in regions]
+
     def alloc_tx(self) -> Skbuff:
         """A transmit skbuff (headers only; data rides in page frags)."""
         return self._track(Skbuff(self, None))

@@ -163,5 +163,20 @@ class AddressSpace:
         """Allocate ``n_pages`` whole pages (kernel page allocator model)."""
         return self.alloc(n_pages * PAGE_SIZE, align=PAGE_SIZE)
 
+    def alloc_pages_many(self, n_pages: int, count: int) -> list[MemoryRegion]:
+        """``count >= 1`` consecutive ``alloc_pages(n_pages >= 1)`` calls in
+        one bump.
+
+        Whole-page lengths keep the break page-aligned, so the regions are
+        contiguous and ``_brk``/``allocated`` end exactly where the
+        one-at-a-time loop would leave them.
+        """
+        length = n_pages * PAGE_SIZE
+        addr = (self._brk + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
+        self._brk = addr + count * length
+        self.allocated += count * length
+        return [MemoryRegion(addr + i * length, length, owner=self)
+                for i in range(count)]
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AddressSpace {self.name!r} base={self.base:#x}>"

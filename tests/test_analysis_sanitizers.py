@@ -5,10 +5,15 @@ The property test at the bottom is the satellite the ISSUE asks for: after
 pending-cookie count return to zero.
 """
 
+import traceback
+from pathlib import Path
+
 import pytest
 
 from repro import build_testbed
-from repro.analysis.sanitizers import Sanitizer, SanitizerError
+from repro.analysis.sanitizers import (
+    _SITE_DEPTH, Sanitizer, SanitizerError, _capture_site,
+)
 from repro.units import KiB, MiB
 
 from tests.test_omx_endtoend import pingpong_once
@@ -35,7 +40,8 @@ def test_catches_leaked_skbuff():
     (v,) = exc.value.violations
     assert v.kind == "skbuff-leak"
     assert "1 leaked" in v.message
-    assert v.sites and "alloc_rx" in v.sites[0]
+    assert v.sites and v.sites[0].startswith("skbuff.py:")
+    assert " in alloc_rx <- " in v.sites[0]
 
 
 def test_catches_unpolled_dma_cookie():
@@ -93,6 +99,122 @@ def test_teardown_check_runs_via_simulator_finish():
     tb.sim.run()
     with pytest.raises(SanitizerError):
         tb.sim.finish()
+
+
+def test_poll_retires_completed_cookies_only():
+    """A mid-way poll retires the completed prefix and keeps the rest."""
+    tb, san = watched_testbed(ioat_enabled=True)
+    host = tb.hosts[0]
+    channel = host.ioat_engine.channels[0]
+    pairs = [(host.kernel_space.alloc_pages(1), host.kernel_space.alloc_pages(1))
+             for _ in range(5)]
+    core = tb.user_core(0)
+    seen = {}
+
+    def submit_then_poll_midway():
+        cookies = []
+        for src, dst in pairs:
+            cookie = yield from host.ioat.submit_copy(core, src, 0, dst, 0,
+                                                      4096, "test", channel)
+            cookies.append(cookie)
+        seen["submitted"] = san.pending_cookie_count(channel)
+        # read the ring directly (no poll) until two copies have finished
+        while (channel.ring.last_completed_cookie()  # noqa: OFF001 (must not poll)
+               < cookies[1].last_cookie):
+            yield tb.sim.timeout(50)
+        seen["done"] = channel.poll()
+        seen["pending"] = san.pending_cookie_count(channel)
+        yield from host.ioat.busy_wait(core, cookies[-1], "test")
+
+    tb.sim.process(submit_then_poll_midway())
+    tb.sim.run()
+    assert seen["submitted"] == 5
+    assert 1 <= seen["done"] < 4
+    assert seen["pending"] == 5 - (seen["done"] + 1)
+    assert san.pending_cookie_count(channel) == 0
+    san.assert_clean()
+
+
+# ---------------------------------------------------------------------------
+# acquire-site strings: the frame walk matches the traceback form exactly
+# ---------------------------------------------------------------------------
+
+
+def _oracle_site() -> str:
+    """The original ``traceback.extract_stack`` form of ``_capture_site``.
+
+    Frames of files named ``*sanitizers*`` are skipped, which includes this
+    test module's own frames.
+    """
+    stack = traceback.extract_stack()
+    frames = [
+        f for f in stack
+        if "sanitizers" not in Path(f.filename).name
+    ][-_SITE_DEPTH:]
+    return " <- ".join(
+        f"{Path(f.filename).name}:{f.lineno} in {f.name}" for f in reversed(frames)
+    )
+
+
+class _SiteProbe(Sanitizer):
+    """Records ``(oracle, capture)`` site pairs at every acquire."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = {}
+
+    def _probe(self, kind):
+        self.pairs.setdefault(kind, []).append((_oracle_site(), _capture_site()))
+
+    def on_skb_alloc(self, pool, skb):
+        self._probe("skb")
+        super().on_skb_alloc(pool, skb)
+
+    def on_dma_submit(self, channel, cookie, desc):
+        self._probe("dma")
+        super().on_dma_submit(channel, cookie, desc)
+
+    def on_pin(self, pinner, pinned):
+        self._probe("pin")
+        super().on_pin(pinner, pinned)
+
+
+def test_capture_site_matches_extract_stack_oracle():
+    tb = build_testbed(ioat_enabled=True)
+    san = _SiteProbe()
+    san.watch_testbed(tb)
+    host = tb.hosts[0]
+    rx = host.skb_pool.alloc_rx()
+    tx = host.skb_pool.alloc_tx()
+    src = host.kernel_space.alloc_pages(1)
+    dst = host.kernel_space.alloc_pages(1)
+    region = host.kernel_space.alloc_pages(2)
+    core = tb.user_core(0)
+
+    def copy_and_pin():
+        cookie = yield from host.ioat.submit_copy(core, src, 0, dst, 0,
+                                                  4096, "test")
+        yield from host.ioat.busy_wait(core, cookie, "test")
+        pinned = yield from host.pinner.pin(core, region)
+        yield from host.pinner.unpin(core, pinned)
+
+    tb.sim.process(copy_and_pin())
+    tb.sim.run()
+    rx.free()
+    tx.free()
+    san.assert_clean()
+    assert set(san.pairs) == {"skb", "dma", "pin"}
+    assert len(san.pairs["skb"]) == 2
+    for kind, pairs in san.pairs.items():
+        for oracle, site in pairs:
+            assert site == oracle, kind
+            assert site.count(" <- ") == _SITE_DEPTH - 1
+    (rx_site, _), (tx_site, _) = san.pairs["skb"]
+    assert " in alloc_rx <- " in rx_site
+    assert " in alloc_tx <- " in tx_site
+    # the site names the acquiring call, never a sanitizer frame
+    assert "sanitizers" not in "".join(site for p in san.pairs.values()
+                                       for _, site in p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the Ethernet substrate: frames, skbuffs, link, NIC, softirq."""
 
+from collections import deque
+
 import pytest
 
 from repro.ethernet.frame import ETHERTYPE_MX, EthernetFrame, frames_needed
@@ -186,3 +188,82 @@ class TestNicRxRing:
         assert nics[1].bus.total_ingress > before
         # queued for softirq is None here -> dropped but counted as rx
         assert nics[1].rx_frames == 1
+
+
+def _pool_state(pool):
+    space = pool.space
+    return {
+        "brk": space._brk - space.base,
+        "allocated": space.allocated,
+        "outstanding": pool.outstanding,
+        "peak_outstanding": pool.peak_outstanding,
+        "total_allocated": pool.total_allocated,
+    }
+
+
+def _offsets(skbs):
+    return [skb.head.addr - skb.pool.space.base for skb in skbs]
+
+
+class TestRingFill:
+    """The one-bump ring fill hands out exactly what one ``alloc_rx`` per
+    slot would: same regions, same allocator and pool accounting."""
+
+    def test_fresh_host_ring_matches_sequential_alloc_rx(self, monkeypatch):
+        from repro import build_testbed
+
+        host = build_testbed().hosts[0]
+        # the twin host fills its ring with one alloc_rx() per slot
+        monkeypatch.setattr(SkbuffPool, "alloc_rx_many",
+                            lambda pool, n: [pool.alloc_rx() for _ in range(n)])
+        twin = build_testbed().hosts[0]
+        assert len(host.nic._rx_ring) == NicParams().rx_ring_size
+        assert _offsets(host.nic._rx_ring) == _offsets(twin.nic._rx_ring)
+        assert [len(skb.head) for skb in host.nic._rx_ring] == \
+            [len(skb.head) for skb in twin.nic._rx_ring]
+        assert _pool_state(host.skb_pool) == _pool_state(twin.skb_pool)
+
+    def test_unaligned_break_is_page_aligned_first(self):
+        pool, twin = SkbuffPool(AddressSpace()), SkbuffPool(AddressSpace())
+        pool.space.alloc(100)
+        twin.space.alloc(100)
+        bulk = pool.alloc_rx_many(5)
+        loop = [twin.alloc_rx() for _ in range(5)]  # noqa: SKB001 (compared, then dropped)
+        assert _offsets(bulk) == _offsets(loop)
+        assert _pool_state(pool) == _pool_state(twin)
+
+    @pytest.mark.parametrize("freed,held", [(7, 0), (3, 4)])
+    def test_refill_reuses_free_list_in_lifo_order(self, freed, held):
+        """Freed regions come back in LIFO order; a shortfall beyond the
+        free list (``held`` skbuffs still live elsewhere) bumps the rest."""
+        sim, nics, link = make_wired_pair()
+        nic = nics[1]
+        twin = SkbuffPool(AddressSpace())
+        twin_ring = deque(twin.alloc_rx()  # noqa: SKB001 (twin of a NIC ring; parked like one)
+                          for _ in range(NicParams().rx_ring_size))
+        for ring in (nic._rx_ring, twin_ring):
+            for _ in range(freed):
+                ring.popleft().free()
+            for _ in range(held):
+                ring.popleft()
+        nic.refill()
+        while len(twin_ring) < NicParams().rx_ring_size:
+            twin_ring.append(twin.alloc_rx())
+        assert _offsets(nic._rx_ring) == _offsets(twin_ring)
+        assert _pool_state(nic.pool) == _pool_state(twin)
+
+    def test_watched_refill_reports_one_acquire_per_skbuff(self):
+        from repro.analysis.sanitizers import Sanitizer
+
+        sim, nics, link = make_wired_pair()
+        nic = nics[1]
+        san = Sanitizer()
+        san.watch_pool(nic.pool)
+        san.watch_nic(nic)
+        for _ in range(5):
+            nic._rx_ring.popleft().free()
+        nic.refill()
+        sites = [site for _, site in san._live_skbs.values()]
+        assert len(sites) == 5
+        assert all(" in alloc_rx <- " in site for site in sites)
+        assert san.check() == []
