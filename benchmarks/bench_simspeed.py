@@ -113,6 +113,22 @@ print(json.dumps(out))
 """
 
 
+def _extract_src(ref: str, tmp: str) -> "Path | None":
+    """Extract the ``src`` tree at ``ref`` into ``tmp``; None without git."""
+    tar_path = Path(tmp) / "baseline.tar"
+    try:
+        subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "-o", str(tar_path),
+             ref, "src"],
+            check=True, capture_output=True, timeout=60,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    with tarfile.open(tar_path) as tf:
+        tf.extractall(tmp)
+    return Path(tmp) / "src"
+
+
 def measure_baseline(figures: list) -> "dict | None":
     """Time the pre-PR quick suite, extracted from git, in a subprocess.
 
@@ -121,18 +137,10 @@ def measure_baseline(figures: list) -> "dict | None":
     to run.
     """
     with tempfile.TemporaryDirectory(prefix="simspeed-base-") as tmp:
-        tar_path = Path(tmp) / "baseline.tar"
-        try:
-            subprocess.run(
-                ["git", "-C", str(ROOT), "archive", "-o", str(tar_path),
-                 BASELINE_REF, "src"],
-                check=True, capture_output=True, timeout=60,
-            )
-        except (OSError, subprocess.SubprocessError):
+        src = _extract_src(BASELINE_REF, tmp)
+        if src is None:
             return None
-        with tarfile.open(tar_path) as tf:
-            tf.extractall(tmp)
-        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
+        env = dict(os.environ, PYTHONPATH=str(src))
         try:
             proc = subprocess.run(
                 [sys.executable, "-c", _CHILD_TIMER, json.dumps(figures)],
@@ -564,13 +572,13 @@ print(json.dumps(out))
 """
 
 
-def _time_tree(src_path: Path, figures: list) -> "dict | None":
-    """Run the overhead child timer against one source tree."""
+def _run_child(script: str, src_path: Path, arg: object) -> "dict | None":
+    """Run a child timer script against one source tree; its JSON output."""
     env = dict(os.environ, PYTHONPATH=str(src_path), REPRO_JOBS="1")
     env.pop("REPRO_CACHE_DIR", None)
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD_TIMER_OBS, json.dumps(figures)],
+            [sys.executable, "-c", script, json.dumps(arg)],
             check=True, capture_output=True, timeout=600, env=env, text=True,
         )
     except (OSError, subprocess.SubprocessError):
@@ -586,21 +594,13 @@ def measure_tree_overhead(ref: str, figures: list) -> "dict | None":
     Returns None when the baseline tree cannot be produced.
     """
     with tempfile.TemporaryDirectory(prefix="tree-base-") as tmp:
-        tar_path = Path(tmp) / "baseline.tar"
-        try:
-            subprocess.run(
-                ["git", "-C", str(ROOT), "archive", "-o", str(tar_path),
-                 ref, "src"],
-                check=True, capture_output=True, timeout=60,
-            )
-        except (OSError, subprocess.SubprocessError):
+        src = _extract_src(ref, tmp)
+        if src is None:
             return None
-        with tarfile.open(tar_path) as tf:
-            tf.extractall(tmp)
-        base = _time_tree(Path(tmp) / "src", figures)
+        base = _run_child(_CHILD_TIMER_OBS, src, figures)
         if base is None:
             return None
-    head = _time_tree(ROOT / "src", figures)
+    head = _run_child(_CHILD_TIMER_OBS, ROOT / "src", figures)
     if head is None:
         return None
     report = {"baseline_ref": ref, "figures": {}}
@@ -700,6 +700,118 @@ def test_tiebreak_zero_overhead():
         )
 
 
+# ---------------------------------------------------------------------------
+# drain-loop gate: one loop behind run() and run_until(), FIFO and keyed
+# ---------------------------------------------------------------------------
+
+#: last commit with four drain loops (run, run_until and a keyed twin of
+#: each); the one-loop kernel is timed against it
+DRAIN_BASELINE_REF = "685ae03"
+
+#: the one loop may cost at most this factor of the old loops' CPU time in
+#: any scenario — the end-to-end bound of the repo benchmark
+DRAIN_MAX_RATIO = 1.25
+
+#: each side's CPU time is the best of this many interleaved child runs
+_DRAIN_REPEATS = 5
+
+#: child timer: 4 processes x N bare-int sleeps (sleep lengths 100..400 ns,
+#: so ties recur) drained by run() and by run_until() on the last process,
+#: each on a FIFO and on a keyed (FifoTieBreak) simulator.  Reports CPU
+#: seconds of the drain, events processed and the final clock.
+_CHILD_DRAIN = """
+import json, sys, time
+from repro.simkernel.scheduler import Simulator
+from repro.simkernel.tiebreak import FifoTieBreak
+
+def sleeper(k, n):
+    for _ in range(n):
+        yield 100 * (k + 1)
+
+n = json.loads(sys.argv[1])
+out = {}
+for entry in ("run", "run_until"):
+    for mode in ("fifo", "keyed"):
+        sim = Simulator(tiebreak=FifoTieBreak() if mode == "keyed" else None)
+        procs = [sim.process(sleeper(k, n)) for k in range(4)]
+        t0 = time.process_time()
+        if entry == "run":
+            sim.run()
+        else:
+            sim.run_until(procs[-1])
+        out[entry + "/" + mode] = {"cpu_s": time.process_time() - t0,
+                                   "events": sim.events_processed,
+                                   "now": sim.now}
+print(json.dumps(out))
+"""
+
+#: int-sleeps per process in the drain-loop gate
+_DRAIN_SLEEPS = 100_000
+
+
+def measure_drain_overhead() -> "dict | None":
+    """The one-loop kernel vs the four-loop tree, interleaved subprocesses.
+
+    Returns ``{scenario: {...}}`` with each side's best CPU time, its event
+    count and final clock, or None when the baseline tree cannot be built.
+    """
+    runs = {"base": [], "head": []}
+    with tempfile.TemporaryDirectory(prefix="drain-base-") as tmp:
+        src = _extract_src(DRAIN_BASELINE_REF, tmp)
+        if src is None:
+            return None
+        for _ in range(_DRAIN_REPEATS):
+            for side, path in (("base", src), ("head", ROOT / "src")):
+                out = _run_child(_CHILD_DRAIN, path, _DRAIN_SLEEPS)
+                if out is None:
+                    return None
+                runs[side].append(out)
+    report = {}
+    for name in runs["head"][0]:
+        base = min((r[name] for r in runs["base"]), key=lambda r: r["cpu_s"])
+        head = min((r[name] for r in runs["head"]), key=lambda r: r["cpu_s"])
+        report[name] = {
+            "base": base,
+            "head": head,
+            "cpu_ratio": round(head["cpu_s"] / base["cpu_s"], 4),
+        }
+    return report
+
+
+def test_drain_loop_overhead():
+    """One drain loop runs the same schedule at the old loops' cost.
+
+    ``run()`` and ``run_until()`` on FIFO and keyed simulators must process
+    exactly the events of the four-loop tree and stop on the same clock;
+    the CPU ratio is printed per scenario and fails only beyond
+    ``DRAIN_MAX_RATIO``.
+    """
+    report = measure_drain_overhead()
+    if report is None:
+        import pytest
+
+        pytest.skip(f"cannot produce baseline tree {DRAIN_BASELINE_REF} "
+                    "(no git history?)")
+    print()
+    for name, r in report.items():
+        base, head = r["base"], r["head"]
+        print(f"  {name:15s} cpu {base['cpu_s']:6.3f}s -> {head['cpu_s']:6.3f}s "
+              f"(x{r['cpu_ratio']:.3f})  {head['events']:,} events  "
+              f"t={head['now']} ns")
+        assert head["events"] == base["events"], (
+            f"{name}: the drain loop changed the simulation "
+            f"({base['events']:,} -> {head['events']:,} events)"
+        )
+        assert head["now"] == base["now"], (
+            f"{name}: the drain loop moved the final clock "
+            f"({base['now']} -> {head['now']} ns)"
+        )
+        assert r["cpu_ratio"] <= DRAIN_MAX_RATIO, (
+            f"{name}: the drain loop costs x{r['cpu_ratio']:.2f} the old "
+            f"loops' CPU time (limit x{DRAIN_MAX_RATIO})"
+        )
+
+
 def test_simspeed_quick_suite():
     """The acceptance gate: >=4x vs pre-PR CPU time, inside the budget,
     with every figure above its events/second floor."""
@@ -762,3 +874,4 @@ if __name__ == "__main__":
     test_sanitizer_overhead()
     test_obs_zero_overhead()
     test_tiebreak_zero_overhead()
+    test_drain_loop_overhead()

@@ -227,6 +227,9 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TopologySpec":
+        from repro.faults.plan import check_document
+
+        check_document(d, "topology", ("hosts", "switches", "links"))
         return cls(
             name=d["name"],
             hosts=tuple(d.get("hosts", ())),

@@ -15,6 +15,7 @@ campaign's bit-identical-report check rests on.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -218,6 +219,29 @@ def flap_windows(spec: FabricFlapSpec, seed: str) -> tuple:
     return tuple(windows)
 
 
+def check_document(d: object, kind: str, list_fields: tuple) -> None:
+    """Raise ValueError naming the field when a loaded document is malformed.
+
+    ``d`` must be a mapping and each of ``list_fields`` it carries a list;
+    a string there would otherwise load as one entry per character.
+    """
+    if not isinstance(d, Mapping):
+        raise ValueError(
+            f"{kind} document must be a mapping, not {type(d).__name__}"
+        )
+    for key in list_fields:
+        value = d.get(key, ())
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(
+                f"{kind} field {key!r} must be a list, not {type(value).__name__}"
+            )
+
+
+#: the list-valued sections of a fault plan document
+_PLAN_SECTIONS = ("links", "nics", "switches", "ioat", "fabric",
+                  "degrade", "flap", "lossy", "ranks")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """One named, seeded composition of fault specs across the layers."""
@@ -244,13 +268,14 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("links", "nics", "switches", "ioat", "fabric",
-                    "degrade", "flap", "lossy", "ranks"):
+        for key in _PLAN_SECTIONS:
             d[key] = list(d[key])
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultPlan":
+        check_document(d, "fault plan", _PLAN_SECTIONS)
+
         def tup(spec_cls, entries):
             out = []
             for e in entries:

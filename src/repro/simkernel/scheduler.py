@@ -39,8 +39,11 @@ Storage is split three ways, FIFO-equivalent to a single seq-keyed heap:
   exact FIFO order.
 
 When a tie-break policy is installed the fast containers are bypassed
-entirely: every push goes through the policy-keyed heap and the legacy
-drain loop runs, so permutation replays see every same-timestamp tie.
+entirely: every push goes through the policy-keyed heap, so permutation
+replays see every same-timestamp tie.  One drain loop serves both modes
+and both entry points (:meth:`Simulator.run`, :meth:`Simulator.run_until`):
+its heap phase *is* the keyed drain, because with a policy the wheel and
+now-queue stay empty.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ from repro.simkernel.event import _PENDING, Event, Timeout
 _WHEEL_SHIFT = 12
 _WHEEL_SLOTS = 256
 _WHEEL_MASK = _WHEEL_SLOTS - 1
+
+
+#: the stop condition of :meth:`Simulator.run`: an event nothing triggers
+_NEVER = Event(None, "never")
 
 
 def _run_callbacks(ev: Event, callbacks: list) -> None:
@@ -274,49 +281,36 @@ class Simulator:
 
     # -- run loop ----------------------------------------------------------
 
-    def _next_entry(self) -> tuple[Optional[list], bool]:
-        """Peek the earliest scheduled (wheel/heap) entry.
-
-        Returns ``(entry, from_wheel)``; tombstones are *not* skipped here —
-        the drain loops pop and discard them (uncounted).  The plain
-        ``(when, seq)`` comparison between the wheel top and the heap top
-        is exact FIFO: for any target time, heap entries (pushed while the
-        time was beyond the horizon) always predate wheel entries.
-        """
-        wtop = None
-        if self._wheel_count:
-            wheel = self._wheel
-            tick = self._wheel_hint
-            slot = wheel[tick & _WHEEL_MASK]
-            while not slot:
-                tick += 1
-                slot = wheel[tick & _WHEEL_MASK]
-            self._wheel_hint = tick
-            wtop = slot[0]
-        heap = self._heap
-        if not heap:
-            return (wtop, True) if wtop is not None else (None, False)
-        htop = heap[0]
-        if wtop is None or htop < wtop:
-            return htop, False
-        return wtop, True
-
-    def _pop_top(self, from_wheel: bool) -> None:
-        if from_wheel:
-            heapq.heappop(self._wheel[self._wheel_hint & _WHEEL_MASK])
-            self._wheel_count -= 1
-        else:
-            heapq.heappop(self._heap)
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queues drain, ``until`` is reached, or ``max_events``.
 
         Returns the simulation time when the loop stopped.
         """
+        self._drain(until, _NEVER, max_events)
+        return self.now
+
+    def run_until(self, ev: Event, max_events: Optional[int] = None) -> object:
+        """Run until ``ev`` triggers; return its value (or raise its error)."""
+        self._drain(None, ev, max_events)
+        if not ev.triggered:
+            raise SimulationError(
+                f"deadlock: event {ev!r} cannot trigger, no pending events"
+            )
+        return ev.value
+
+    def _drain(self, until: Optional[int], stop: Event,
+               max_events: Optional[int]) -> None:
+        """The drain loop behind :meth:`run` and :meth:`run_until`.
+
+        Runs actions in order until ``stop`` triggers (checked after every
+        action), the next action lies beyond ``until`` (the clock then moves
+        to ``until``), or nothing is pending.  Under a tie-break policy
+        every push lands on the keyed heap, so phase 1a alone drains each
+        tick, in ``(when, key)`` order, and the wheel and now-queue stay
+        empty.
+        """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if self.tiebreak is not None:
-            return self._run_keyed(until, max_events)
         self._running = True
         count = 0
         t0 = time.perf_counter()
@@ -326,6 +320,7 @@ class Simulator:
         heappop = heapq.heappop
         log = self._schedule_log
         limit = max_events if max_events is not None else float("inf")
+        pending = _PENDING
         # The drain loop allocates heavily (entry lists, generator frames)
         # but holds no cycles long enough to matter: pausing the cyclic GC
         # for the duration avoids collector sweeps mid-simulation.  Refcount
@@ -335,6 +330,10 @@ class Simulator:
         if gc_was_on:
             gc.disable()
         try:
+            # `stop._value is not pending or stop._exc is not None` is
+            # Event.triggered inlined: it runs once per simulation event.
+            if stop._value is not pending or stop._exc is not None:
+                return
             while True:
                 now = self.now
                 # 1a) far-horizon (heap) entries due now.  Every heap entry
@@ -342,9 +341,11 @@ class Simulator:
                 #     pushed while T was beyond the horizon, hence earlier,
                 #     hence with a smaller seq), so the whole heap batch
                 #     runs first and no cross-container compare is needed.
-                #     New pushes during a callback are strictly future
-                #     (when > now routes to wheel/heap, when == now to the
-                #     now-queue), so neither batch can grow while draining.
+                #     On the FIFO path new pushes during a callback are
+                #     strictly future (when > now routes to wheel/heap,
+                #     when == now to the now-queue), so neither batch can
+                #     grow while draining; under a policy same-tick pushes
+                #     join this batch in key order.
                 while heap:
                     top = heap[0]
                     if top[0] != now:
@@ -358,9 +359,9 @@ class Simulator:
                     fn(*top[3])
                     count += 1
                     if count >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
+                        raise SimulationError(_livelock(max_events))
+                    if stop._value is not pending or stop._exc is not None:
+                        return
                 # 1b) wheel entries due now: all in the hint slot (equal
                 #     when ⇒ equal slot tick), drained in (when, seq) order
                 #     by the slot mini-heap.
@@ -385,9 +386,9 @@ class Simulator:
                         fn(*top[3])
                         count += 1
                         if count >= limit:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; possible livelock"
-                            )
+                            raise SimulationError(_livelock(max_events))
+                        if stop._value is not pending or stop._exc is not None:
+                            return
                 # 2) the now-queue: same-tick pushes, batched FIFO drain.
                 #    Entries appended while draining run in this same batch;
                 #    nothing new can enter the wheel/heap *at* the current
@@ -402,28 +403,20 @@ class Simulator:
                     fn(*e[3])
                     count += 1
                     if count >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
-                # 3) advance to the next scheduled time (or stop).  The peek
-                #    must be fresh: the same-tick batch may have scheduled
-                #    entries earlier than anything seen above.  Tombstones
-                #    are discarded here rather than advanced onto: the
-                #    historical loop never set the clock for a cancelled
-                #    entry, so a drain that ends on pure tombstones must
-                #    leave ``now`` at the last *live* action's time.
-                while True:
-                    top, from_wheel = self._next_entry()
-                    if top is None or top[2] is not None:
-                        break
-                    self._pop_top(from_wheel)
+                        raise SimulationError(_livelock(max_events))
+                    if stop._value is not pending or stop._exc is not None:
+                        return
+                # 3) advance to the next live scheduled time (or stop).  The
+                #    peek must be fresh: the same-tick batch may have
+                #    scheduled entries earlier than anything seen above.
+                top = self._next_live()
                 if top is None:
                     if until is not None and until > self.now:
                         self.now = until
-                    break
+                    return
                 if until is not None and top[0] > until:
                     self.now = until
-                    break
+                    return
                 self.now = top[0]
         finally:
             if gc_was_on:
@@ -432,183 +425,38 @@ class Simulator:
             self.wall_seconds += time.perf_counter() - t0
             self.events_processed += count
             Simulator.events_total += count
-        return self.now
 
-    def run_until(self, ev: Event, max_events: Optional[int] = None) -> object:
-        """Run until ``ev`` triggers; return its value (or raise its error)."""
-        if self.tiebreak is not None:
-            return self._run_until_keyed(ev, max_events)
-        count = 0
-        t0 = time.perf_counter()
-        nq = self._now_q
+    def _next_live(self) -> Optional[list]:
+        """The earliest live wheel/heap entry, or None if none is pending.
+
+        Pops the tombstones it meets, so neither the drain loop nor
+        :meth:`peek` ever lands the clock on a cancelled entry's time.  The
+        plain ``(when, seq)`` compare of the wheel and heap tops is exact
+        FIFO: for any target time, heap entries (pushed while the time was
+        beyond the horizon) always predate wheel entries.
+        """
         wheel = self._wheel
         heap = self._heap
-        heappop = heapq.heappop
-        log = self._schedule_log
-        limit = max_events if max_events is not None else float("inf")
-        #: False once the scheduled containers are known drained at `now`;
-        #: stays valid within the tick because a push at the current time
-        #: can only land on the now-queue, so the per-action wheel/heap peek
-        #: is skipped for the whole same-tick dispatch batch.
-        due = True
-        gc_was_on = gc.isenabled()
-        if gc_was_on:
-            gc.disable()
-        try:
-            # `ev._value is _PENDING and ev._exc is None` is Event.triggered
-            # inlined: this loop runs once per simulation event, and the
-            # property call is measurable at fig. 11 event counts.
-            while ev._value is _PENDING and ev._exc is None:
-                if due:
-                    now = self.now
-                    # Far-horizon (heap) entries due now run before every
-                    # wheel entry at the same time (smaller seqs: they were
-                    # pushed while the time was beyond the horizon), so an
-                    # int compare on the heap top replaces the cross-
-                    # container (when, seq) merge.
-                    if heap and heap[0][0] == now:
-                        top = heappop(heap)
-                        fn = top[2]
-                        if fn is None:
-                            continue
-                        args = top[3]
-                    else:
-                        wtop = None
-                        if self._wheel_count:
-                            tick = self._wheel_hint
-                            slot = wheel[tick & _WHEEL_MASK]
-                            while not slot:
-                                tick += 1
-                                slot = wheel[tick & _WHEEL_MASK]
-                            self._wheel_hint = tick
-                            wtop = slot[0]
-                        if wtop is None or wtop[0] != now:
-                            due = False
-                            continue
-                        heappop(slot)
-                        self._wheel_count -= 1
-                        fn = wtop[2]
-                        if fn is None:
-                            continue
-                        args = wtop[3]
-                elif nq:
-                    e = nq.popleft()
-                    fn = e[2]
-                    if fn is None:
-                        continue
-                    args = e[3]
-                else:
-                    # Tick exhausted: advance.  Re-peek (inlined _next_entry)
-                    # — the same-tick batch may have scheduled entries
-                    # earlier than the stale top; only the minimum `when`
-                    # matters here, so ints compare instead of entries.
-                    when = None
-                    if self._wheel_count:
-                        tick = self._wheel_hint
-                        slot = wheel[tick & _WHEEL_MASK]
-                        while not slot:
-                            tick += 1
-                            slot = wheel[tick & _WHEEL_MASK]
-                        self._wheel_hint = tick
-                        when = slot[0][0]
-                    if heap:
-                        hwhen = heap[0][0]
-                        if when is None or hwhen < when:
-                            when = hwhen
-                    if when is None:
-                        raise SimulationError(
-                            f"deadlock: event {ev!r} cannot trigger, no pending events"
-                        )
-                    self.now = when
-                    due = True
-                    continue
-                if log is not None:
-                    log.append((self.now, _action_label(fn)))
-                fn(*args)
-                count += 1
-                if count >= limit:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-        finally:
-            if gc_was_on:
-                gc.enable()
-            self.wall_seconds += time.perf_counter() - t0
-            self.events_processed += count
-            Simulator.events_total += count
-        return ev.value
-
-    # -- keyed (tie-break policy) run loops ---------------------------------
-    #
-    # With a policy installed every entry lives on the single keyed heap;
-    # these are the historical drain loops, kept verbatim so permutation
-    # replays exercise exactly the documented semantics.
-
-    def _run_keyed(self, until: Optional[int], max_events: Optional[int]) -> int:
-        self._running = True
-        count = 0
-        t0 = time.perf_counter()
-        heap = self._heap
-        pop = heapq.heappop
-        log = self._schedule_log
-        limit = max_events if max_events is not None else float("inf")
-        try:
-            while heap:
+        while True:
+            top = None
+            if self._wheel_count:
+                tick = self._wheel_hint
+                slot = wheel[tick & _WHEEL_MASK]
+                while not slot:
+                    tick += 1
+                    slot = wheel[tick & _WHEEL_MASK]
+                self._wheel_hint = tick
+                top = slot[0]
+            if heap and (top is None or heap[0] < top):
                 top = heap[0]
-                when = top[0]
-                if until is not None and when > until:
-                    self.now = until
-                    break
-                pop(heap)
-                fn = top[2]
-                if fn is None:
-                    continue
-                self.now = when
-                if log is not None:
-                    log.append((when, _action_label(fn)))
-                fn(*top[3])
-                count += 1
-                if count >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; possible livelock"
-                    )
+                if top[2] is not None:
+                    return top
+                heapq.heappop(heap)
+            elif top is None or top[2] is not None:
+                return top
             else:
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self._running = False
-            self.wall_seconds += time.perf_counter() - t0
-            self.events_processed += count
-            Simulator.events_total += count
-        return self.now
-
-    def _run_until_keyed(self, ev: Event, max_events: Optional[int]) -> object:
-        count = 0
-        t0 = time.perf_counter()
-        heap = self._heap
-        pop = heapq.heappop
-        log = self._schedule_log
-        limit = max_events if max_events is not None else float("inf")
-        try:
-            while ev._value is _PENDING and ev._exc is None:
-                if not heap:
-                    raise SimulationError(
-                        f"deadlock: event {ev!r} cannot trigger, no pending events"
-                    )
-                top = pop(heap)
-                fn = top[2]
-                if fn is None:
-                    continue
-                self.now = top[0]
-                if log is not None:
-                    log.append((top[0], _action_label(fn)))
-                fn(*top[3])
-                count += 1
-                if max_events is not None and count >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-        finally:
-            self.wall_seconds += time.perf_counter() - t0
-            self.events_processed += count
-            Simulator.events_total += count
-        return ev.value
+                heapq.heappop(slot)
+                self._wheel_count -= 1
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled action, or None if nothing is pending.
@@ -619,14 +467,8 @@ class Simulator:
         for e in self._now_q:
             if e[2] is not None:
                 return self.now
-        while True:
-            top, from_wheel = self._next_entry()
-            if top is None:
-                return None
-            if top[2] is None:
-                self._pop_top(from_wheel)
-                continue
-            return top[0]
+        top = self._next_live()
+        return None if top is None else top[0]
 
     def record_schedule(self) -> list[tuple[int, str]]:
         """Start logging every executed action as ``(time, label)``.
@@ -659,6 +501,10 @@ class Simulator:
         """
         for check in self._teardown_checks:
             check()
+
+
+def _livelock(max_events: Optional[int]) -> str:
+    return f"exceeded max_events={max_events}; possible livelock"
 
 
 def _action_label(action: Callable) -> str:

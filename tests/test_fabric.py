@@ -71,6 +71,27 @@ class TestTopologyInvariants:
         assert spec.diameter_hops() >= 1
 
 
+@pytest.mark.parametrize("load,doc,field", [
+    (TopologySpec.from_dict, [], "mapping"),
+    (TopologySpec.from_dict, "pair", "mapping"),
+    (TopologySpec.from_dict, {"name": "x", "hosts": "abc"}, "'hosts'"),
+    (TopologySpec.from_dict, {"name": "x", "hosts": ["a"], "switches": "sw0"},
+     "'switches'"),
+    (TopologySpec.from_dict, {"name": "x", "hosts": ["a"], "links": {}},
+     "'links'"),
+    (FaultPlan.from_dict, [], "mapping"),
+    (FaultPlan.from_dict, {"name": "p", "links": "a~b"}, "'links'"),
+    (FaultPlan.from_dict, {"name": "p", "ranks": 3}, "'ranks'"),
+], ids=["topo-list", "topo-str", "topo-hosts-str", "topo-switches-str",
+        "topo-links-dict", "plan-list", "plan-links-str", "plan-ranks-int"])
+def test_malformed_documents_raise_value_error_naming_the_field(load, doc, field):
+    """A loader given a non-mapping document, or a non-list where a list
+    belongs, says which field is wrong instead of building nonsense (a
+    string of hosts loads as one host per character)."""
+    with pytest.raises(ValueError, match=field):
+        load(doc)
+
+
 class TestGenerators:
     def test_fat_tree2_oversubscription_reported(self):
         spec = make_topology("fat_tree2", 64, oversubscription=4.0)

@@ -129,7 +129,8 @@ class TestSchedulerLoop:
 
     def test_run_until_deadlock_detected(self, sim):
         ev = sim.event()
-        with pytest.raises(SimulationError, match="deadlock"):
+        with pytest.raises(SimulationError,
+                           match=r"deadlock: event .* cannot trigger"):
             sim.run_until(ev)
 
     def test_run_with_until_stops_early(self, sim):
@@ -153,6 +154,47 @@ class TestSchedulerLoop:
         sim._call_soon(rearm)
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
+
+    @pytest.mark.parametrize("entry", ["run", "run_until"])
+    def test_max_events_error_is_one_text(self, sim, entry):
+        """Both entry points stop a livelock with the same message."""
+        def rearm():
+            sim._call_soon(rearm)
+
+        sim._call_soon(rearm)
+        with pytest.raises(SimulationError) as err:
+            if entry == "run":
+                sim.run(max_events=100)
+            else:
+                sim.run_until(sim.event(), max_events=100)
+        assert str(err.value) == "exceeded max_events=100; possible livelock"
+
+    @pytest.mark.parametrize("outer,inner", [
+        ("run_until", "run"), ("run", "run_until"),
+        ("run", "run"), ("run_until", "run_until"),
+    ])
+    def test_nested_drain_is_rejected(self, sim, outer, inner):
+        """Neither entry point may be called from inside an action; the
+        error aborts the outer loop and leaves the simulator usable."""
+        log = []
+
+        def nest():
+            if inner == "run":
+                sim.run()
+            else:
+                sim.run_until(sim.timeout(10))
+
+        sim.call_at(20, nest)
+        sim.call_at(50, log.append, "t=50")
+        with pytest.raises(SimulationError, match="simulator is not reentrant"):
+            if outer == "run":
+                sim.run()
+            else:
+                sim.run_until(sim.timeout(100))
+        assert log == [] and sim.now == 20
+        assert not sim._running
+        sim.run()
+        assert log == ["t=50"]
 
     def test_peek(self, sim):
         assert sim.peek() is None
