@@ -3,50 +3,31 @@
 
 Streams 4 MiB messages from node 0 to node 1 and decomposes the receiver's
 CPU time into the paper's three bands — user library, driver (syscalls and
-pinning) and bottom-half receive — with and without I/OAT offload.
+pinning) and bottom-half receive — with and without I/OAT offload.  The
+per-phase decomposition of the same runs is ``omx-repro fig9_phases``.
 
 Run:  python examples/cpu_usage.py
-      python examples/cpu_usage.py --profile    # per-phase decomposition
 """
-
-import argparse
 
 from repro import build_testbed
 from repro.units import MiB
 from repro.workloads import run_stream_usage
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--profile", action="store_true",
-                    help="attach the simulated-time profiler and show phases")
-    args = ap.parse_args(argv)
-
+def main() -> None:
     size = 4 * MiB
     print(f"Streaming {size >> 20} MiB messages, receiver CPU usage "
           f"(% of one 2.33 GHz core):\n")
     print(f"{'mode':>8} | {'user':>6} | {'driver':>6} | {'BH recv':>7} | "
           f"{'total':>6} | {'MiB/s':>7}")
     print("-" * 56)
-    profiles = []
     for ioat in (False, True):
         tb = build_testbed(ioat_enabled=ioat, regcache_enabled=False)
-        prof = None
-        if args.profile:
-            from repro.obs import PhaseProfiler
-
-            prof = PhaseProfiler(tb.sim).attach(tb.hosts[1].cpus)
         u = run_stream_usage(tb, size, iterations=8)
         mode = "I/OAT" if ioat else "memcpy"
         print(f"{mode:>8} | {u.user_pct:>6.1f} | {u.driver_pct:>6.1f} | "
               f"{u.bh_pct:>7.1f} | {u.total_pct:>6.1f} | "
               f"{u.throughput_mib_s:>7.1f}")
-        if prof is not None:
-            profiles.append((mode, prof.percent(u.window_ticks)))
-    for mode, phases in profiles:
-        print(f"\n{mode} phases (% of one core):")
-        for phase, pct in sorted(phases.items(), key=lambda kv: -kv[1]):
-            print(f"  {phase:>14}: {pct:5.1f}")
     print("\nPaper: the memcpy path saturates a core (~95 %); overlapped DMA")
     print("copies drop multi-megabyte streams to ~60 % while raising throughput.")
 

@@ -227,14 +227,14 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TopologySpec":
-        from repro.faults.plan import check_document
+        from repro.faults.plan import check_document, load_entries
 
         check_document(d, "topology", ("hosts", "switches", "links"))
         return cls(
             name=d["name"],
             hosts=tuple(d.get("hosts", ())),
-            switches=tuple(SwitchSpec(**s) for s in d.get("switches", ())),
-            links=tuple(LinkSpec(**l) for l in d.get("links", ())),
+            switches=load_entries(d, "topology", "switches", SwitchSpec),
+            links=load_entries(d, "topology", "links", LinkSpec),
             ecmp_seed=d.get("ecmp_seed", "fabric"),
         )
 

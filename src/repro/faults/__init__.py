@@ -30,7 +30,6 @@ from repro.faults.campaign import (
     quick_campaign_spec,
     run_campaign,
     run_cell,
-    write_report,
 )
 from repro.faults.injectors import ArmedPlan, NoTrunksError, arm_plan
 from repro.faults.plan import (
@@ -90,5 +89,4 @@ __all__ = [
     "soak_plans",
     "soak_suite",
     "standard_plans",
-    "write_report",
 ]

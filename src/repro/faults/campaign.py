@@ -24,9 +24,7 @@ left is a pure function of (workload, size, plan, seed) and the simulator
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from repro.faults.injectors import arm_plan
@@ -407,16 +405,3 @@ def run_campaign(spec: CampaignSpec, executor=None, trace: bool = False) -> dict
         ],
     }
 
-
-def report_json(report: dict) -> str:
-    """Canonical byte-stable serialization (the determinism contract)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def write_report(report: dict, path) -> Path:
-    """Write a report as :func:`report_json` (campaign, soak and fabric
-    sweep artifacts all go through here)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(report_json(report))
-    return path

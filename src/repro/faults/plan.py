@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.units import KiB, us
 
@@ -222,13 +222,16 @@ def flap_windows(spec: FabricFlapSpec, seed: str) -> tuple:
 def check_document(d: object, kind: str, list_fields: tuple) -> None:
     """Raise ValueError naming the field when a loaded document is malformed.
 
-    ``d`` must be a mapping and each of ``list_fields`` it carries a list;
-    a string there would otherwise load as one entry per character.
+    ``d`` must be a mapping with a string ``name``, and each of
+    ``list_fields`` it carries a list; a string there would otherwise load
+    as one entry per character.
     """
     if not isinstance(d, Mapping):
         raise ValueError(
             f"{kind} document must be a mapping, not {type(d).__name__}"
         )
+    if not isinstance(d.get("name"), str):
+        raise ValueError(f"{kind} field 'name' must be a string")
     for key in list_fields:
         value = d.get(key, ())
         if not isinstance(value, (list, tuple)):
@@ -237,9 +240,33 @@ def check_document(d: object, kind: str, list_fields: tuple) -> None:
             )
 
 
-#: the list-valued sections of a fault plan document
-_PLAN_SECTIONS = ("links", "nics", "switches", "ioat", "fabric",
-                  "degrade", "flap", "lossy", "ranks")
+def load_entries(d: Mapping, kind: str, key: str, spec_cls,
+                 prepare: Callable[[dict], dict] = dict) -> tuple:
+    """One ``spec_cls(**prepare(entry))`` per entry of section ``key``.
+
+    A bad entry raises ValueError naming the section and index: a
+    non-mapping entry, or one the spec rejects (unknown or missing field,
+    a value of the wrong type or out of range).
+    """
+    out = []
+    for i, entry in enumerate(d.get(key, ())):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{kind} {key}[{i}] must be a mapping, "
+                             f"not {type(entry).__name__}")
+        try:
+            out.append(spec_cls(**prepare(entry)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{kind} {key}[{i}]: {exc}") from None
+    return tuple(out)
+
+
+#: the list-valued sections of a fault plan document, and their entries' spec
+_PLAN_SECTIONS = {
+    "links": LinkFaultSpec, "nics": NicFaultSpec, "switches": SwitchFaultSpec,
+    "ioat": IoatFaultSpec, "fabric": FabricFaultSpec,
+    "degrade": FabricDegradeSpec, "flap": FabricFlapSpec,
+    "lossy": FabricLossySpec, "ranks": RankFaultSpec,
+}
 
 
 @dataclass(frozen=True)
@@ -276,27 +303,17 @@ class FaultPlan:
     def from_dict(cls, d: dict) -> "FaultPlan":
         check_document(d, "fault plan", _PLAN_SECTIONS)
 
-        def tup(spec_cls, entries):
-            out = []
-            for e in entries:
-                e = dict(e)
-                if "windows" in e:
-                    e["windows"] = tuple(tuple(w) for w in e["windows"])
-                out.append(spec_cls(**e))
-            return tuple(out)
+        def prepare(e: Mapping) -> dict:
+            e = dict(e)
+            if "windows" in e:
+                e["windows"] = tuple(tuple(w) for w in e["windows"])
+            return e
 
         return cls(
             name=d["name"],
             seed=d.get("seed", "0"),
-            links=tup(LinkFaultSpec, d.get("links", ())),
-            nics=tup(NicFaultSpec, d.get("nics", ())),
-            switches=tup(SwitchFaultSpec, d.get("switches", ())),
-            ioat=tup(IoatFaultSpec, d.get("ioat", ())),
-            fabric=tup(FabricFaultSpec, d.get("fabric", ())),
-            degrade=tup(FabricDegradeSpec, d.get("degrade", ())),
-            flap=tup(FabricFlapSpec, d.get("flap", ())),
-            lossy=tup(FabricLossySpec, d.get("lossy", ())),
-            ranks=tup(RankFaultSpec, d.get("ranks", ())),
+            **{key: load_entries(d, "fault plan", key, spec_cls, prepare)
+               for key, spec_cls in _PLAN_SECTIONS.items()},
         )
 
 

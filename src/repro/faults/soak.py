@@ -38,12 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.faults.campaign import (  # report_json: re-exported, one serializer
+from repro.faults.campaign import (
     _cell_report,
     _outcome_totals,
     _start_cell,
     _sum_dicts,
-    report_json,
 )
 from repro.faults.plan import FaultPlan, soak_plans
 from repro.units import KiB, ms, us

@@ -13,7 +13,8 @@ the first-class equivalents:
   (fragment copy, DMA submit, poll, syscall, pinning...) in simulated time
   and reproduces the Fig. 9 CPU-usage report.
 
-CLI: ``python -m repro.obs {report,export,diff}`` (also ``repro-obs``).
+CLI: ``omx-repro fig9_phases``, ``omx-repro fig56 --trace DIR`` and
+``omx-repro --diff A B``.
 """
 
 from repro.obs.profiler import PhaseProfiler, fig9_report

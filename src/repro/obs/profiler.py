@@ -221,8 +221,9 @@ def fig9_report(quick: bool = True, executor=None) -> dict:
     }
 
 
-def render_fig9(report: dict) -> str:
-    """ASCII table of a :func:`fig9_report` result."""
+def fig9_parts(report: dict) -> list:
+    """A :func:`fig9_report` result as :class:`~repro.reporting.table.Report`
+    parts: the phase table, then the calibration verdict."""
     from repro.reporting.table import Table
 
     t = Table(
@@ -237,7 +238,7 @@ def render_fig9(report: dict) -> str:
             row["throughput_mib_s"],
             " ".join(f"{k}={v:.1f}" for k, v in top),
         )
-    lines = [t.render(), ""]
+    lines = []
     for c in report["calibration"]:
         verdict = "ok" if c["within_tolerance"] else "OUT OF TOLERANCE"
         lines.append(
@@ -246,7 +247,7 @@ def render_fig9(report: dict) -> str:
             f"(±{c['tolerance_points']:.0f} pts: {verdict})"
         )
     lines.append(f"  calibration_ok: {report['calibration_ok']}")
-    return "\n".join(lines)
+    return [t, "\n".join(lines)]
 
 
 def _fmt_size(n: int) -> str:

@@ -1,11 +1,12 @@
-"""Experiment registry: one runner per paper figure/table.
+"""Experiment registry: one runner per paper figure/table or scenario.
 
 Each ``fig*`` function rebuilds the workload of the corresponding figure in
-the paper's evaluation section and returns a rendered-able result object
-(:class:`~repro.reporting.figures.Figure` or
-:class:`~repro.reporting.table.Table`).  The ``omx-repro`` CLI (see
-``main``) runs any of them; the pytest-benchmark files under
-``benchmarks/`` wrap the same runners.
+the paper's evaluation section; the fault campaign, soak, fabric sweep and
+topology gallery sit in the same registry.  A runner returns a
+rendered-able :class:`~repro.reporting.figures.Figure`,
+:class:`~repro.reporting.table.Table` or
+:class:`~repro.reporting.table.Report`.  The ``omx-repro`` CLI (see
+``main``) runs any of them; ``benchmarks/`` wraps the same runners.
 
 Runners declare their sweep as a list of independent *points* and execute
 them through a :class:`~repro.reporting.sweeps.SweepExecutor` — which
@@ -14,18 +15,24 @@ processes.  Pass ``executor=`` to share one executor (and its statistics)
 across runners; the default executor is configured from the environment.
 
 ``quick=True`` trims sizes/iterations for CI-speed runs; the shapes remain.
+Runners may take ``seed`` and ``trace`` keywords as well, which ``main``
+fills from ``--seed`` and ``--trace``.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import sys
+from contextlib import nullcontext
+from pathlib import Path
 from typing import Callable, Optional
 
 from repro.params import clovertown_5000x
 from repro.reporting.figures import Figure
 from repro.reporting.sweeps import SweepExecutor, point
-from repro.reporting.table import Table
+from repro.reporting.table import Report, Table, write_report
 from repro.units import GiB, KiB, MiB, SEC
 
 # ---------------------------------------------------------------------------
@@ -365,17 +372,15 @@ def engine_shootout(quick: bool = False,
 # ---------------------------------------------------------------------------
 
 def fabric_sweep(quick: bool = False,
-                 executor: Optional[SweepExecutor] = None) -> Table:
+                 executor: Optional[SweepExecutor] = None) -> Report:
     """Allreduce/alltoall over 2-tier fat trees: size x hosts x
     oversubscription x copy backend (chunk-level fabric model).
 
     Sweeps the paper's receive-copy question at fabric scale: does I/OAT
     offload still pay when the bottleneck could be an oversubscribed
-    trunk instead of the receiver's memory bus?  Writes the full grid to
-    ``results/fabric_sweep.json`` (sorted keys, byte-stable per seed).
+    trunk instead of the receiver's memory bus?  The report's document is
+    the full grid of cells (``results/fabric_sweep.json``, byte-stable).
     """
-    from repro.faults.campaign import write_report
-
     if quick:
         grid = [("allreduce", h, os_, s)
                 for h in (32,)
@@ -406,7 +411,6 @@ def fabric_sweep(quick: bool = False,
         for backend in ("memcpy", "ioat")
     ]
     values = _executor(executor).run(points)
-    write_report({"cells": values}, "results/fabric_sweep.json")
 
     t = Table(
         "FABRIC: collectives over 2-tier fat trees "
@@ -425,7 +429,161 @@ def fabric_sweep(quick: bool = False,
         t.add_row(f'imb:{cell["test"]}', cell["hosts"], "2",
                   _sz(cell["size"]), backend, round(cell["t_avg_us"]),
                   cell["mib_s"], cell["events"])
+    return Report([t], doc={"cells": values})
+
+
+# ---------------------------------------------------------------------------
+# Fault campaign and soak — the reliability contract under injected faults
+# ---------------------------------------------------------------------------
+
+def _pop_traces(records: list, name: Callable[[dict], str]) -> dict[str, dict]:
+    """Move each record's Perfetto trace out of the report, keyed by file
+    name ``name(record)``: timelines would swamp the JSON and sit outside
+    its byte-stable determinism contract."""
+    return {name(r): r.pop("trace_events") for r in records if "trace_events" in r}
+
+
+def _outcome_table(title: str, key: str, records: list,
+                   label: Callable[[dict], str], extra: tuple = ()) -> Table:
+    """One row per campaign cell or soak run: its label, its transfer
+    outcomes, each ``(column, value-of-record)`` of ``extra``, and the
+    sanitizer verdict."""
+    t = Table(title, [key, "completed", "failed", "hung"]
+              + [col for col, _ in extra] + ["sanitizer"])
+    for r in records:
+        o = r["outcomes"]
+        t.add_row(label(r), o["completed"], o["failed"], o["hung"],
+                  *(value(r) for _, value in extra),
+                  "DIRTY" if r["sanitizer"] else "clean")
     return t
+
+
+def _totals(totals: dict) -> str:
+    return (f"totals: {totals['completed']} completed, {totals['failed']} "
+            f"failed (typed), {totals['hung']} hung")
+
+
+def faults_campaign(quick: bool = False, executor: Optional[SweepExecutor] = None,
+                    seed: str = "campaign", trace: bool = False) -> Report:
+    """The quick fault matrix: every (workload, size, plan) cell fires one
+    fault, and every transfer must complete or fail typed (DESIGN.md §10).
+    ``quick`` changes nothing: the matrix is already the quick one."""
+    from repro.faults.campaign import quick_campaign_spec, run_campaign
+
+    report = run_campaign(quick_campaign_spec(seed), executor=_executor(executor),
+                          trace=trace)
+    traces = _pop_traces(report["cells"],
+                         lambda c: f'{c["workload"]}-{c["size"]}-{c["plan"]}.json')
+    t = _outcome_table(f"fault campaign (seed={seed!r})", "cell", report["cells"],
+                       lambda c: f'{c["workload"]}/{c["size"] // 1024}K/{c["plan"]}')
+    summary = (f"{_totals(report['totals'])}; "
+               f"{report['retransmissions']} retransmissions, "
+               f"{report['dead_letters']} dead letters, "
+               f"{report['fallback_copies']} memcpy fallbacks")
+    ok = not (report["totals"]["hung"] or report["sanitizer_dirty_cells"])
+    return Report([t, summary], doc=report, ok=ok, traces=traces)
+
+
+def faults_soak(quick: bool = False, executor: Optional[SweepExecutor] = None,
+                seed: str = "soak", trace: bool = False) -> Report:
+    """The chained-fault soak suite (I/OAT fail/recover flaps, flapping
+    links, incast bursts, fabric gray churn) with checkpointed livelock and
+    leak invariants (DESIGN.md §12).  ``quick`` changes nothing."""
+    from repro.faults.soak import run_soak_suite
+
+    report = run_soak_suite(seed, trace=trace)
+    traces = _pop_traces(report["runs"], lambda run: f'{run["soak"]}.json')
+    t = _outcome_table(
+        f"fault soak (seed={seed!r})", "run", report["runs"],
+        lambda r: f'{r["soak"]}/{r["workload"]}/{r["size"] // 1024}K',
+        (("breaker trips", lambda r: r["health"].get("breaker_trips", 0)),
+         ("reopens", lambda r: r["health"].get("breaker_reopens", 0))))
+    fabric = report["fabric"]
+    ft = Table(f"fabric soak (seed={seed!r})",
+               ["run", "topology", "delivered", "failed", "retried",
+                "reroutes", "flaps supp.", "dead", "epoch", "sanitizer"])
+    for run in fabric["runs"]:
+        res, net = run.get("resilience", {}), run["net"]
+        ft.add_row(run["soak"], run["topology"], net["msgs_delivered"],
+                   net["msgs_failed"], net["chunks_retried"],
+                   res.get("reroutes", 0), res.get("flaps_suppressed", 0),
+                   len(run["dead_ranks"]), run["epoch"],
+                   "DIRTY" if run["sanitizer"] else "clean")
+    ok = not (report["totals"]["hung"] or report["sanitizer_dirty_runs"]
+              or fabric["sanitizer_dirty_runs"])
+    return Report([t, ft, _totals(report["totals"])], doc=report, ok=ok,
+                  traces=traces)
+
+
+# ---------------------------------------------------------------------------
+# Fabric topology gallery
+# ---------------------------------------------------------------------------
+
+#: (kind, hosts, oversubscription) rows covering every topology generator
+#: at a representative scale
+GALLERY = (("pair", 2, 1.0), ("star", 8, 1.0), ("fat_tree2", 32, 1.0),
+           ("fat_tree2", 64, 4.0), ("fat_tree3", 128, 1.0), ("dragonfly", 32, 1.0))
+
+
+def topologies(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Table:
+    """Host/switch/link counts, worst-case oversubscription and switch-graph
+    diameter of every :data:`GALLERY` topology, to sanity-check a fabric
+    grid before spending simulator time on it.  Simulates nothing."""
+    from repro.fabric.sweep import make_topology
+
+    table = Table("fabric topologies", ["kind", "hosts", "switches", "links",
+                                        "trunks", "oversub", "diameter"])
+    for kind, hosts, oversub in GALLERY:
+        spec = make_topology(kind, hosts, oversubscription=oversub)
+        spec.validate()
+        table.add_row(kind, len(spec.hosts), len(spec.switches), len(spec.links),
+                      len(spec.trunk_links()), f"{spec.oversubscription():.2f}",
+                      spec.diameter_hops())
+    return table
+
+
+# ---------------------------------------------------------------------------
+# Figures 5, 6 and 9 through repro.obs — timelines and the phase profile
+# ---------------------------------------------------------------------------
+
+def fig9_phases(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Report:
+    """Fig. 9 CPU usage with each point's phase decomposition and a
+    calibration verdict against the paper's bands; not ok out of band."""
+    from repro.obs.profiler import fig9_parts, fig9_report
+
+    report = fig9_report(quick=quick, executor=_executor(executor))
+    return Report(fig9_parts(report), doc=report, ok=report["calibration_ok"])
+
+
+_FIG56_CAPTIONS = (
+    "Fig. 5 — regular receive: each fragment is processed AND copied "
+    "on the CPU before the next one",
+    "Fig. 6 — I/OAT offload: the CPU only processes+submits; copies "
+    "overlap on the DMA engine lane",
+)
+
+
+def fig56(quick: bool = False, executor: Optional[SweepExecutor] = None,
+          trace: bool = False) -> Report:
+    """The Fig. 5 / Fig. 6 timelines: one multi-fragment message received
+    with memcpy, then with I/OAT offload.  Without I/OAT each fragment's
+    processing *and copy* hold the CPU before the next fragment; with it
+    the copies overlap on the DMA lane and only the last fragment waits.
+    With ``trace`` both runs go to one Perfetto file, ``fig56.json``."""
+    from repro.obs.scenarios import run_fig56_scenario
+    from repro.obs.trace import export_trace_events
+
+    runs = [("fig5-memcpy", run_fig56_scenario(False)),
+            ("fig6-ioat", run_fig56_scenario(True))]
+    traces = {"fig56.json": export_trace_events(runs)} if trace else {}
+    rule = "=" * 104
+    parts = []
+    for caption, (_name, recorder) in zip(_FIG56_CAPTIONS, runs):
+        # Render only the data-transfer phase (pull replies + DMA copies).
+        recorder.spans = [s for s in recorder.spans
+                          if s.label.startswith(("PULL_REPLY", "Copy"))]
+        parts.append("\n".join([rule, caption, rule, recorder.render_ascii(width=100)]))
+    return Report(parts, traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +602,62 @@ EXPERIMENTS: dict[str, Callable] = {
     "nas": nas,
     "engine_shootout": engine_shootout,
     "fabric_sweep": fabric_sweep,
+    "faults_campaign": faults_campaign,
+    "faults_soak": faults_soak,
+    "topologies": topologies,
+    "fig9_phases": fig9_phases,
+    "fig56": fig56,
 }
+
+
+def _flatten(obj, prefix="") -> dict[str, float]:
+    """Numeric leaves of a JSON document, dotted paths; lists become lengths."""
+    out: dict[str, float] = {}
+    if isinstance(obj, bool):
+        return out
+    if isinstance(obj, (int, float)):
+        out[prefix or "value"] = obj
+    elif isinstance(obj, dict):
+        for key, val in obj.items():
+            out.update(_flatten(val, f"{prefix}.{key}" if prefix else str(key)))
+    elif isinstance(obj, list):
+        out[f"{prefix}.len" if prefix else "len"] = len(obj)
+    return out
+
+
+def _diff(a: str, b: str) -> int:
+    """Print every numeric value that differs between two JSON documents."""
+    flat = []
+    for name in (a, b):
+        try:
+            flat.append(_flatten(json.loads(Path(name).read_text())))
+        except (OSError, ValueError) as exc:
+            print(f"cannot load {name}: {exc}", file=sys.stderr)
+            return 2
+
+    def fmt(v):
+        return "-" if v is None else (f"{v:g}" if isinstance(v, float) else str(v))
+
+    keys = sorted(set(flat[0]) | set(flat[1]))
+    changed = [k for k in keys if flat[0].get(k) != flat[1].get(k)]
+    for key in changed:
+        va, vb = flat[0].get(key), flat[1].get(key)
+        delta = "" if va is None or vb is None else f"  ({vb - va:+g})"
+        print(f"  {key}: {fmt(va)} -> {fmt(vb)}{delta}")
+    print(f"{len(changed)} differing value(s)" if changed else "no numeric differences")
+    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="omx-repro",
         description="Regenerate the figures of the Open-MX I/OAT paper "
-                    "(Goglin, Cluster 2008) from the simulator.",
+                    "(Goglin, Cluster 2008) and the repo's fault, soak and "
+                    "fabric scenarios from the simulator.",
     )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"],
-                        help="which figure/table to regenerate")
+    parser.add_argument("experiment", nargs="?",
+                        choices=sorted(EXPERIMENTS) + ["all"],
+                        help="which figure/table/scenario to regenerate")
     parser.add_argument("--quick", action="store_true",
                         help="smaller sweeps / fewer iterations")
     parser.add_argument("--csv", metavar="FILE",
@@ -463,24 +666,71 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="worker processes (default: $REPRO_JOBS or 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk sweep-point cache")
+    parser.add_argument("--seed", metavar="SEED",
+                        help="fault plan seed (faults_campaign, faults_soak)")
+    parser.add_argument("--trace", metavar="DIR",
+                        help="write Perfetto traces into DIR: one per cell "
+                             "(faults_campaign), per host-pair run "
+                             "(faults_soak), or fig56.json (fig56)")
+    parser.add_argument("--tiebreak-seed", metavar="SEED",
+                        help="replay under a seeded shuffle of same-timestamp "
+                             "event ties (schedule-race hunting; forces "
+                             "--jobs 1 and --no-cache)")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="print the numeric differences between two JSON "
+                             "results, then exit")
     args = parser.parse_args(argv)
 
-    ex = SweepExecutor(jobs=args.jobs, cache=not args.no_cache)
+    if args.diff:
+        return _diff(*args.diff)
+    if args.experiment is None:
+        parser.error("an experiment (or --diff A B) is required")
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        result = EXPERIMENTS[name](quick=args.quick, executor=ex)
-        print(result.render())
-        print()
-        if args.csv:
-            path = args.csv if len(names) == 1 else f"{name}_{args.csv}"
-            with open(path, "w") as fh:
-                fh.write(result.to_csv())
-            print(f"[wrote {path}]")
+    options = {"seed": args.seed, "trace": True if args.trace is not None else None}
+    options = {k: v for k, v in options.items() if v is not None}
+    unused = set(options) - set(inspect.signature(EXPERIMENTS[names[0]]).parameters)
+    if len(names) == 1 and unused:
+        parser.error(f"{names[0]} takes no --{' --'.join(sorted(unused))}")
+    policy = nullcontext()
+    if args.tiebreak_seed is not None:
+        # The policy factory is process-global state: worker processes would
+        # not inherit it, and cached points would be stale FIFO results.
+        from repro.simkernel.tiebreak import SeededShuffleTieBreak, default_tiebreak
+
+        args.jobs, args.no_cache = 1, True
+        policy = default_tiebreak(lambda: SeededShuffleTieBreak(args.tiebreak_seed))
+
+    ex = SweepExecutor(jobs=args.jobs, cache=not args.no_cache)
+    ok = True
+    with policy:
+        for name in names:
+            params = inspect.signature(EXPERIMENTS[name]).parameters
+            result = EXPERIMENTS[name](
+                quick=args.quick, executor=ex,
+                **{k: v for k, v in options.items() if k in params})
+            print(result.render())
+            print()
+            if args.csv:
+                path = args.csv if len(names) == 1 else f"{name}_{args.csv}"
+                with open(path, "w") as fh:
+                    fh.write(result.to_csv())
+                print(f"[wrote {path}]")
+            if not isinstance(result, Report):
+                continue
+            ok = ok and result.ok
+            if result.doc is not None:
+                print(f"[wrote {write_report(result.doc, Path('results') / f'{name}.json')}]")
+            if result.traces:
+                from repro.obs.trace import write_trace
+
+                for fname, doc in result.traces.items():
+                    write_trace(doc, Path(args.trace) / fname)
+                print(f"[wrote {len(result.traces)} trace(s) under {args.trace}]")
     if ex.stats.points:
         print(f"[sweep: {ex.stats.points} points, {ex.stats.cache_hits} cached, "
               f"{ex.stats.computed} computed, jobs={ex.jobs}, "
               f"phantom={'on' if ex.phantom_mode else 'off'}]")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -304,10 +304,10 @@ class Simulator:
 
         Runs actions in order until ``stop`` triggers (checked after every
         action), the next action lies beyond ``until`` (the clock then moves
-        to ``until``), or nothing is pending.  Under a tie-break policy
-        every push lands on the keyed heap, so phase 1a alone drains each
-        tick, in ``(when, key)`` order, and the wheel and now-queue stay
-        empty.
+        forward to ``until``; it never moves back), or nothing is pending.
+        Under a tie-break policy every push lands on the keyed heap, so
+        phase 1a alone drains each tick, in ``(when, key)`` order, and the
+        wheel and now-queue stay empty.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -410,12 +410,9 @@ class Simulator:
                 #    peek must be fresh: the same-tick batch may have
                 #    scheduled entries earlier than anything seen above.
                 top = self._next_live()
-                if top is None:
+                if top is None or (until is not None and top[0] > until):
                     if until is not None and until > self.now:
                         self.now = until
-                    return
-                if until is not None and top[0] > until:
-                    self.now = until
                     return
                 self.now = top[0]
         finally:

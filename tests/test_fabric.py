@@ -1,11 +1,17 @@
 """Tests for repro.fabric: topology invariants, deterministic routing,
 bit-identical collectives at scale, fault cells, and the wrapper factories."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric.routing import RouteTables, ecmp_pick
 from repro.fabric.spec import (
+    LinkSpec,
+    SwitchSpec,
     TopologySpec,
     dragonfly,
     fat_tree,
@@ -22,7 +28,7 @@ from repro.fabric.sweep import (
 from repro.fabric.build import build_fabric_testbed
 from repro.fabric.mpi import launch_fabric_world
 from repro.faults.injectors import arm_plan
-from repro.faults.plan import FabricFaultSpec, FaultPlan
+from repro.faults.plan import _PLAN_SECTIONS, FabricFaultSpec, FaultPlan
 from repro.units import KiB
 
 MAXEV = 10_000_000
@@ -82,14 +88,66 @@ class TestTopologyInvariants:
     (FaultPlan.from_dict, [], "mapping"),
     (FaultPlan.from_dict, {"name": "p", "links": "a~b"}, "'links'"),
     (FaultPlan.from_dict, {"name": "p", "ranks": 3}, "'ranks'"),
+    (TopologySpec.from_dict, {"hosts": ["a"]}, "'name'"),
+    (FaultPlan.from_dict, {"seed": "s"}, "'name'"),
+    (FaultPlan.from_dict, {"name": "p", "links": ["ab"]}, r"links\[0\]"),
+    (TopologySpec.from_dict, {"name": "x", "hosts": ["a", "b"], "links": ["ab"]},
+     r"links\[0\]"),
+    (FaultPlan.from_dict, {"name": "p", "links": [{}, {"bogus": 1}]}, r"links\[1\]"),
 ], ids=["topo-list", "topo-str", "topo-hosts-str", "topo-switches-str",
-        "topo-links-dict", "plan-list", "plan-links-str", "plan-ranks-int"])
+        "topo-links-dict", "plan-list", "plan-links-str", "plan-ranks-int",
+        "topo-no-name", "plan-no-name", "plan-link-str", "topo-link-str",
+        "plan-link-unknown-field"])
 def test_malformed_documents_raise_value_error_naming_the_field(load, doc, field):
-    """A loader given a non-mapping document, or a non-list where a list
-    belongs, says which field is wrong instead of building nonsense (a
-    string of hosts loads as one host per character)."""
+    """A loader given a non-mapping document, a missing name, a non-list
+    where a list belongs, or a bad entry in a section says which field or
+    entry is wrong instead of building nonsense (a string of hosts loads as
+    one host per character) or failing with an untyped error."""
     with pytest.raises(ValueError, match=field):
         load(doc)
+
+
+#: arbitrary JSON values
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 1 << 40)
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _documents(sections: tuple, spec_classes: tuple):
+    """Documents shaped like a loader's input, with any value anywhere:
+    real section and field names, so valid entries turn up too."""
+    fields = sorted({f.name for cls in spec_classes for f in dataclasses.fields(cls)})
+    entry = st.dictionaries(st.sampled_from(fields), _JSON, max_size=4) | _JSON
+    value = st.lists(entry, max_size=3) | _JSON
+    keys = st.sampled_from(("name", "seed", "ecmp_seed") + sections)
+    return st.dictionaries(keys, value, max_size=5) | _JSON
+
+
+def _loads_or_value_error(load, doc) -> None:
+    try:
+        load(doc)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_documents(("hosts", "switches", "links"), (SwitchSpec, LinkSpec)))
+def test_topology_loader_raises_only_value_error(doc):
+    """Any document either loads or raises ValueError; never a KeyError or
+    TypeError from inside the spec constructors."""
+    _loads_or_value_error(TopologySpec.from_dict, doc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_documents(tuple(_PLAN_SECTIONS), tuple(_PLAN_SECTIONS.values())))
+def test_fault_plan_loader_raises_only_value_error(doc):
+    """Any document either loads or raises ValueError; never a KeyError or
+    TypeError from inside the spec constructors."""
+    _loads_or_value_error(FaultPlan.from_dict, doc)
 
 
 class TestGenerators:

@@ -14,7 +14,6 @@ from repro.faults.campaign import (
     quick_campaign_spec,
     run_campaign,
     run_cell,
-    write_report,
 )
 from repro.faults.plan import (
     FaultPlan,
@@ -24,6 +23,7 @@ from repro.faults.plan import (
     standard_plans,
 )
 from repro.reporting.sweeps import SweepExecutor
+from repro.reporting.table import write_report
 from repro.units import KiB, ms, us
 
 pytestmark = pytest.mark.faults

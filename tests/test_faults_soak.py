@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.faults import run_soak, run_soak_suite, soak_suite
-from repro.faults.soak import report_json
+from repro.reporting.table import report_json
 
 pytestmark = pytest.mark.soak
 

@@ -10,8 +10,9 @@ from repro.obs.profiler import (
     PhaseProfiler,
     fig9_report,
     point_cpu_profile,
-    render_fig9,
+    fig9_parts,
 )
+from repro.reporting.table import Report
 from repro.units import KiB, MiB
 from repro.workloads import run_stream_usage
 
@@ -133,7 +134,7 @@ class TestStreamProfile:
 class TestFig9Report:
     def test_quick_report_within_paper_tolerance(self):
         report = fig9_report(quick=True)
-        assert report["calibration_ok"], render_fig9(report)
+        assert report["calibration_ok"], Report(fig9_parts(report)).render()
         for c in report["calibration"]:
             assert abs(c["measured_pct"] - c["paper_pct"]) <= TOLERANCE_POINTS
         # the paper's qualitative claim at every size: I/OAT offload uses
@@ -149,6 +150,6 @@ class TestFig9Report:
 
     def test_render_mentions_calibration(self):
         report = fig9_report(quick=True)
-        text = render_fig9(report)
+        text = Report(fig9_parts(report)).render()
         assert "calibration_ok" in text
         assert "16 MiB" in text

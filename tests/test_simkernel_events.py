@@ -141,6 +141,20 @@ class TestSchedulerLoop:
         sim.run()
         assert t.triggered
 
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_run_until_in_the_past_keeps_the_clock(self, keyed):
+        from repro.simkernel.tiebreak import FifoTieBreak
+
+        sim = Simulator(tiebreak=FifoTieBreak()) if keyed else Simulator()
+        fired = []
+        sim.call_at(100, fired.append, 100)
+        sim.call_at(200, fired.append, 200)
+        assert sim.run(until=100) == 100
+        assert sim.run(until=50) == 100  # the clock never moves backwards
+        assert fired == [100]
+        sim.run()
+        assert fired == [100, 200] and sim.now == 200
+
     def test_cannot_schedule_in_past(self, sim):
         sim.timeout(10)
         sim.run()
